@@ -57,13 +57,13 @@ def test_mcmc_step_cost(benchmark, golden_mlp_moons, moons_eval_batch):
 def test_batched_campaign_throughput(benchmark, golden_mlp_moons, moons_eval_batch):
     """Vectorised 200-configuration campaign (vs one-at-a-time in
     test_faulted_forward_pass_mlp × 200)."""
-    from repro.core import BatchedMLPEvaluator
+    from repro.core import BatchedNetworkEvaluator
 
     eval_x, eval_y = moons_eval_batch
     injector = BayesianFaultInjector(
         golden_mlp_moons, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=0
     )
-    evaluator = BatchedMLPEvaluator(injector)
+    evaluator = BatchedNetworkEvaluator(injector)
     model = BernoulliBitFlipModel(1e-3)
     rng = np.random.default_rng(8)
     configurations = [

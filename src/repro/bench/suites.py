@@ -16,7 +16,7 @@ plus their warmup/repeat protocol. Group names match the historical
 * ``bench_completeness`` — fixed-budget MCMC mixing and adaptive stopping;
 * ``bench_fastpath`` — the faulted-forward fast path (prefix caching +
   batched evaluation + sparse apply) against the standard path on a
-  ResNet-18 layerwise campaign;
+  ResNet-18 layerwise campaign and on the full ResNet-18 surface;
 * ``bench_mcmc`` — delta-forward chain campaigns against the standard
   per-proposal forward, across the three proposal locality regimes
   (same-layer, cross-layer, full-surface);
@@ -211,7 +211,11 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
     forward — run with ``fast=True`` (prefix caching + batched evaluation)
     and ``fast=False`` (full forward per configuration). Both compute
     bit-identical results; the ratio of their medians is the speedup the
-    fast path buys. The apply pair isolates the injection primitive:
+    fast path buys. The surface pair is the Fig. 4 regime — the full
+    weight+bias surface, where no golden prefix is shared and
+    auto-selection therefore takes the standard path; its ratio is what
+    forcing the batched engine would cost. The apply pair isolates the
+    injection primitive:
     sparse copy-on-write at campaign-realistic flip density versus the
     dense full-array XOR it replaced.
     """
@@ -237,6 +241,12 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
     )
     standard_injector = BayesianFaultInjector(
         model, eval_x, eval_y, spec=TargetSpec.single_layer(layer), seed=seed, fast=False
+    )
+
+    surface = TargetSpec.weights_and_biases()
+    surface_fast = BayesianFaultInjector(model, eval_x, eval_y, spec=surface, seed=seed, fast=True)
+    surface_standard = BayesianFaultInjector(
+        model, eval_x, eval_y, spec=surface, seed=seed, fast=False
     )
 
     def campaign(injector):
@@ -265,6 +275,12 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
         ),
         "resnet_layerwise_standard": CaseSpec(
             functools.partial(campaign, standard_injector), repeats=repeats
+        ),
+        "resnet_surface_fast": CaseSpec(
+            functools.partial(campaign, surface_fast), repeats=repeats
+        ),
+        "resnet_surface_standard": CaseSpec(
+            functools.partial(campaign, surface_standard), repeats=repeats
         ),
         "apply_sparse_cow": CaseSpec(apply_sparse, repeats=15),
         "apply_dense_xor": CaseSpec(apply_dense, repeats=15),

@@ -1,24 +1,22 @@
-"""Vectorised multi-configuration campaign evaluation for MLPs.
+"""Vectorised multi-configuration campaign evaluation.
 
 A campaign's cost is #configurations × one forward pass. For dense
 networks the per-configuration work is small matrix algebra, so evaluating
 ``k`` fault configurations *simultaneously* — stacking the faulted weight
-tensors into ``(k, in, out)`` arrays and contracting with einsum — turns
-``k`` interpreter round-trips into one BLAS call per layer. On the paper's
-MLP this is an order-of-magnitude campaign speed-up (measured in
-``benchmarks/bench_micro.py``), with bit-identical semantics verified
-against the sequential path.
+tensors into ``(k, in, out)`` arrays and contracting with one stacked
+``np.matmul`` — turns ``k`` interpreter round-trips into one call per
+layer. On the paper's MLP this is an order-of-magnitude campaign speed-up
+(measured in ``benchmarks/bench_micro.py``).
 
-Scope: :class:`BatchedMLPEvaluator` covers
-:class:`~repro.nn.models.MLP`-shaped models (Dense/ReLU/Flatten sequences,
-the Fig. 1/Fig. 2 subjects) end to end. :class:`BatchedNetworkEvaluator`
-generalises to the conv nets (LeNet, ResNet — the Fig. 3 subjects): the
-model's verified forward chain runs *shared* up to the first faulted
-layer, the ``k`` faulted conv/dense/norm tensors are stacked and
-contracted in one einsum over the shared im2col columns, and every
-untouched downstream module runs once on the ``k`` diverged activations
-folded into the batch axis. Both are bit-identical to the sequential
-path — enforced by the fast-path property tests.
+:class:`BatchedNetworkEvaluator` covers the chain-decomposable models,
+dense and conv (MLP, LeNet, ResNet — the Fig. 1–4 subjects): the model's
+verified forward chain runs *shared* up to the first faulted layer, the
+``k`` faulted conv/dense/norm tensors are stacked and contracted in one
+stacked ``np.matmul`` (convs over the shared patch rows of
+:func:`~repro.tensor.functional.patch_rows`, the kernel ``conv2d`` uses),
+and every untouched downstream module runs once on the ``k`` diverged
+activations folded into the batch axis. It is bit-identical to the
+sequential path — enforced by the fast-path property tests.
 """
 
 from __future__ import annotations
@@ -26,199 +24,19 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as obs
-from repro.bits.float32 import apply_bit_mask
-from repro.core.campaign import CampaignResult
 from repro.core.hazard import HazardReport
-from repro.core.posterior import ErrorPosterior
-from repro.core.prefix import forward_chain, run_chain
+from repro.core.prefix import forward_chain, owning_step, run_chain
 from repro.faults.configuration import FaultConfiguration
-from repro.faults.model import FaultModel
-from repro.mcmc.chain import Chain, ChainSet
-from repro.nn.activations import ReLU
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
-from repro.nn.layers import Dense, Flatten, Identity
-from repro.nn.models.mlp import MLP
+from repro.nn.layers import Dense
 from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNorm
-from repro.tensor.functional import im2col_indices
+from repro.tensor.functional import patch_rows
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["BatchedMLPEvaluator", "BatchedNetworkEvaluator"]
-
-
-class BatchedMLPEvaluator:
-    """Evaluate many fault configurations of a dense network in one sweep.
-
-    Parameters
-    ----------
-    injector:
-        A configured :class:`~repro.core.injector.BayesianFaultInjector`
-        over an MLP-shaped model with parameter surfaces only.
-    """
-
-    def __init__(self, injector) -> None:
-        if injector.activation_modules or injector._wants_inputs:
-            raise ValueError("batched evaluation supports parameter surfaces only")
-        self.injector = injector
-        self._plan = self._build_plan(injector.model)
-        planned_params = {
-            f"{prefix}.{leaf}"
-            for prefix, layer in self._plan
-            for leaf in ("weight", "bias")
-            if getattr(layer, leaf, None) is not None
-        }
-        target_names = {name for name, _ in injector.parameter_targets}
-        if not target_names <= planned_params:
-            unplanned = sorted(target_names - planned_params)
-            raise ValueError(f"targets outside the dense plan: {unplanned}")
-        self._inputs = np.asarray(injector.inputs, dtype=np.float32).reshape(
-            len(injector.labels), -1
-        )
-        #: hazard accounting of the most recent :meth:`evaluate` call
-        self.last_hazard: HazardReport = HazardReport()
-
-    # ------------------------------------------------------------------ #
-    # model planning
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _build_plan(model: Module) -> list[tuple[str, Module]]:
-        """(dotted-name, layer) pairs for the dense execution sequence."""
-        if isinstance(model, MLP):
-            sequence = model.layers
-            prefix = "layers"
-        elif isinstance(model, Sequential):
-            sequence = model
-            prefix = ""
-        else:
-            raise TypeError(
-                f"BatchedMLPEvaluator supports MLP/Sequential models, got {type(model).__name__}"
-            )
-        plan: list[tuple[str, Module]] = []
-        for index, layer in enumerate(sequence):
-            if not isinstance(layer, (Dense, ReLU, Flatten, Identity)):
-                raise TypeError(
-                    f"unsupported layer {type(layer).__name__} for batched evaluation"
-                )
-            name = f"{prefix}.{index}" if prefix else str(index)
-            plan.append((name, layer))
-        return plan
-
-    # ------------------------------------------------------------------ #
-    # evaluation
-    # ------------------------------------------------------------------ #
-
-    def evaluate(self, configurations: list[FaultConfiguration]) -> np.ndarray:
-        """Classification error per configuration, shape ``(k,)``.
-
-        Semantics identical to scoring each configuration through
-        ``injector.make_statistic`` — verified bit-level by the tests.
-        """
-        if not configurations:
-            raise ValueError("need at least one configuration")
-        k = len(configurations)
-        labels = self.injector.labels
-        # All math in float32 to match the sequential (deployment) path:
-        # severe faulted weights overflow float32 at intermediates, and the
-        # resulting inf/nan logits must be reproduced, not avoided.
-        current = np.broadcast_to(self._inputs, (k,) + self._inputs.shape)  # (k, B, d)
-        with np.errstate(all="ignore"):
-            for name, layer in self._plan:
-                if isinstance(layer, Dense):
-                    weights = self._stacked_parameter(configurations, f"{name}.weight", layer.weight.data)
-                    current = np.matmul(current, weights)  # float32 batched GEMM
-                    if layer.bias is not None:
-                        biases = self._stacked_parameter(configurations, f"{name}.bias", layer.bias.data)
-                        current = current + biases[:, None, :]
-                elif isinstance(layer, ReLU):
-                    # Match Tensor.relu's NaN semantics (where(x>0, x, 0)):
-                    # NaN compares false, so NaN activations become 0, as in
-                    # the sequential path.
-                    current = np.where(current > 0, current, np.float32(0.0))
-                elif isinstance(layer, Flatten):
-                    current = current.reshape(k, current.shape[1], -1)
-        # Same hazard taxonomy as NumericalHazardGuard.score: a row with any
-        # non-finite logit always counts as an error (deterministically, not
-        # via NaN argmax) and is tracked separately as a hazard.
-        finite = np.isfinite(current).all(axis=2)  # (k, B)
-        predictions = current.argmax(axis=2)  # (k, B)
-        hazard_per_configuration = (~finite).sum(axis=1)
-        self.last_hazard = HazardReport(
-            evaluations=k,
-            hazard_evaluations=int((hazard_per_configuration > 0).sum()),
-            rows=int(finite.size),
-            hazard_rows=int(hazard_per_configuration.sum()),
-        )
-        if finite.all():
-            return (predictions != labels[None, :]).mean(axis=1)
-        wrong = ((predictions != labels[None, :]) & finite).sum(axis=1)
-        return (wrong + hazard_per_configuration) / current.shape[1]
-
-    def _stacked_parameter(
-        self, configurations: list[FaultConfiguration], name: str, golden: np.ndarray
-    ) -> np.ndarray:
-        """(k, *shape) faulted copies of one parameter."""
-        k = len(configurations)
-        stack = np.empty((k,) + golden.shape, dtype=np.float32)
-        for i, configuration in enumerate(configurations):
-            if name in configuration:
-                stack[i] = apply_bit_mask(golden, configuration.mask(name))
-            else:
-                stack[i] = golden
-        return stack
-
-    # ------------------------------------------------------------------ #
-    # campaign front-end
-    # ------------------------------------------------------------------ #
-
-    def forward_campaign(
-        self,
-        p: float,
-        samples: int = 200,
-        chains: int = 2,
-        fault_model: FaultModel | None = None,
-        stream: str = "batched",
-    ) -> CampaignResult:
-        """Drop-in faster equivalent of ``injector.forward_campaign``.
-
-        Draws the same kind of i.i.d. configurations, evaluates them in one
-        vectorised sweep, and packages the standard result object. (Not
-        RNG-identical to the sequential path — it uses its own stream —
-        but statistically the same estimator.)
-        """
-        from repro.faults.bernoulli import BernoulliBitFlipModel
-
-        if samples <= 0 or chains <= 0:
-            raise ValueError("samples and chains must be positive")
-        model = fault_model if fault_model is not None else BernoulliBitFlipModel(p)
-        rng = self.injector._rng_factory.stream(f"{stream}:p={p!r}")
-        per_chain = max(1, samples // chains)
-        configurations = [
-            FaultConfiguration.sample(self.injector.parameter_targets, model, rng)
-            for _ in range(per_chain * chains)
-        ]
-        errors = self.evaluate(configurations)
-        flips = [configuration.total_flips() for configuration in configurations]
-
-        chain_objs = []
-        for chain_id in range(chains):
-            chain = Chain(chain_id)
-            for i in range(chain_id * per_chain, (chain_id + 1) * per_chain):
-                chain.record(float(errors[i]), flips[i])
-            chain_objs.append(chain)
-        chain_set = ChainSet(chain_objs)
-        posterior = ErrorPosterior(errors, self.injector.golden_error)
-        return CampaignResult(
-            flip_probability=p,
-            golden_error=self.injector.golden_error,
-            chains=chain_set,
-            posterior=posterior,
-            method="forward-batched",
-            seed=self.injector.seed,
-            hazard=self.last_hazard,
-        )
+__all__ = ["BatchedNetworkEvaluator"]
 
 
 class _State:
@@ -240,17 +58,18 @@ class _State:
 class BatchedNetworkEvaluator:
     """Evaluate many fault configurations of a conv net in one sweep.
 
-    Generalises :class:`BatchedMLPEvaluator` to the chain-decomposable
-    models of :func:`repro.core.prefix.forward_chain` (MLP, Sequential,
-    LeNet, ResNet). Three mechanisms keep the sweep bit-identical to ``k``
+    Covers the chain-decomposable models of
+    :func:`repro.core.prefix.forward_chain` (MLP, Sequential, LeNet,
+    ResNet). Three mechanisms keep the sweep bit-identical to ``k``
     sequential faulted forwards while doing far less work:
 
     * the chain runs *once*, shared, up to the first faulted layer (the
       activation entering it is cached across :meth:`evaluate_logits`
       calls — clean-prefix reuse);
     * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
-      parameter tensors against the shared input in one einsum/GEMM
-      (conv shares one im2col gather across configurations);
+      parameter tensors against the shared input in one stacked
+      ``np.matmul`` (conv shares one patch-row gather across
+      configurations);
     * every untouched module after the divergence point runs once with the
       ``k`` axis folded into the batch axis — valid because eval-mode
       modules are batch-independent.
@@ -278,21 +97,15 @@ class BatchedNetworkEvaluator:
             if module.training:
                 raise ValueError("batched evaluation requires eval-mode models")
         self._x = Tensor(np.asarray(injector.inputs))
-        owners = []
+        #: dotted target name → owning chain step index
+        self.owners: dict[str, int] = {}
         for target in self._targets:
-            owner = next(
-                (
-                    index
-                    for index, step in enumerate(steps)
-                    if step.module is not None and target.startswith(step.name + ".")
-                ),
-                None,
-            )
+            owner = owning_step(steps, target)
             if owner is None:
                 raise ValueError(f"target {target!r} not owned by any chain step")
             self._check_touched_modules(steps[owner].module, steps[owner].name, target)
-            owners.append(owner)
-        self._cut = min(owners)
+            self.owners[target] = owner
+        self._cut = min(self.owners.values())
         with no_grad(), np.errstate(all="ignore"):
             direct = model(self._x)
             chained = run_chain(steps, self._x)
@@ -301,6 +114,10 @@ class BatchedNetworkEvaluator:
         ):
             raise ValueError("forward chain is not bit-identical to model forward")
         self._prefix: np.ndarray | None = None
+        #: configurations scored through :meth:`run_segments`, ever
+        self.configs_scored = 0
+        #: hazard accounting of the most recent :meth:`evaluate` call
+        self.last_hazard = HazardReport()
 
     def _check_touched_modules(self, module: Module, name: str, target: str) -> None:
         """Ensure the leaf module owning ``target`` has a batched handler."""
@@ -372,6 +189,7 @@ class BatchedNetworkEvaluator:
         """
         if not configurations:
             raise ValueError("need at least one configuration")
+        self.configs_scored += len(configurations)
         errstate = guard.capture() if guard is not None else np.errstate(all="ignore")
         with no_grad(), errstate:
             state = _State(activation, diverged)
@@ -385,13 +203,20 @@ class BatchedNetworkEvaluator:
         """Classification error per configuration, shape ``(k,)``.
 
         Same hazard taxonomy as ``NumericalHazardGuard.score``: any row with
-        a non-finite logit counts as an error deterministically.
+        a non-finite logit counts as an error deterministically, and the
+        call's accounting is left in :attr:`last_hazard`.
         """
         logits = self.evaluate_logits(configurations)
         labels = self.injector.labels
         finite = np.isfinite(logits).all(axis=2)
         predictions = logits.argmax(axis=2)
         hazard_rows = (~finite).sum(axis=1)
+        self.last_hazard = HazardReport(
+            evaluations=len(configurations),
+            hazard_evaluations=int((hazard_rows > 0).sum()),
+            rows=int(finite.size),
+            hazard_rows=int(hazard_rows.sum()),
+        )
         wrong = ((predictions != labels[None, :]) & finite).sum(axis=1)
         return (wrong + hazard_rows) / logits.shape[1]
 
@@ -501,27 +326,18 @@ class BatchedNetworkEvaluator:
     ) -> _State:
         weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         k = len(configurations)
-        size, stride, padding = module.kernel_size, module.stride, module.padding
-        data = state.data
-        image_shape = data.shape[1:] if state.diverged else data.shape
-        kk, ii, jj, out_h, out_w = im2col_indices(image_shape, size, size, stride, padding)
-        pad_spatial = ((padding, padding), (padding, padding))
-        w_mat = weights.reshape(k, module.out_channels, -1)
-        if state.diverged:
-            padded = (
-                np.pad(data, ((0, 0), (0, 0), (0, 0)) + pad_spatial) if padding else data
-            )
-            cols = padded[:, :, kk, ii, jj]  # (k, B, C*kh*kw, P)
-            out = np.einsum("kof,kbfp->kbop", w_mat, cols, optimize=True)
-        else:
-            padded = np.pad(data, ((0, 0), (0, 0)) + pad_spatial) if padding else data
-            cols = padded[:, kk, ii, jj]  # (B, C*kh*kw, P) — one gather for all k
-            out = np.einsum("kof,bfp->kbop", w_mat, cols, optimize=True)
+        size = module.kernel_size
+        # Shared (B*P, f) rows broadcast against the k kernels; diverged
+        # (k, B*P, f) rows pair with them. Either way each k-slice is the
+        # exact sgemm call conv2d makes for one configuration.
+        rows, out_h, out_w = patch_rows(state.data, size, size, module.stride, module.padding)
+        out = np.matmul(rows, weights.reshape(k, module.out_channels, -1).transpose(0, 2, 1))
         if module.bias is not None:
             biases = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
-            out = out + biases[:, None, :, None]
-        batch = data.shape[1] if state.diverged else data.shape[0]
-        return _State(out.reshape(k, batch, module.out_channels, out_h, out_w), True)
+            out = out + biases[:, None, :]
+        batch = state.data.shape[-4]
+        out = out.reshape(k, batch, out_h, out_w, module.out_channels)
+        return _State(out.transpose(0, 1, 4, 2, 3), True)
 
     def _run_norm(
         self, module: _BatchNorm, name: str, state: _State, configurations: list[FaultConfiguration]
@@ -552,3 +368,4 @@ class BatchedNetworkEvaluator:
         # broadcasts over the configurations axis bit-identically.
         merged = _State(out.data + shortcut.data, out.diverged or shortcut.diverged)
         return self._run_module(module.relu2, f"{name}.relu2", merged, configurations)
+

@@ -133,19 +133,12 @@ class DeltaChainEvaluator:
     def __init__(self, injector, evaluator: BatchedNetworkEvaluator | None = None) -> None:
         self.injector = injector
         self._evaluator = evaluator if evaluator is not None else BatchedNetworkEvaluator(injector)
-        steps = self._evaluator._steps
         #: number of chain segments; boundary index n_steps holds the logits
-        self.n_steps = len(steps)
+        self.n_steps = len(self._evaluator._steps)
         #: static prefix cut — no fault target lives below it, ever
         self.base = self._evaluator._cut
         #: dotted target name → owning chain segment index
-        self.owners: dict[str, int] = {}
-        for target in self._evaluator._targets:
-            self.owners[target] = next(
-                index
-                for index, step in enumerate(steps)
-                if step.module is not None and target.startswith(step.name + ".")
-            )
+        self.owners = self._evaluator.owners
 
     def session(self) -> DeltaSession:
         """A fresh per-chain session (no committed state yet)."""

@@ -39,7 +39,7 @@ from repro.bits.float32 import count_set_bits
 from repro.core.batched import BatchedNetworkEvaluator
 from repro.core.campaign import CampaignResult
 from repro.core.hazard import NumericalHazardGuard
-from repro.core.prefix import PrefixCachedForward
+from repro.core.prefix import PrefixCachedForward, faults_conv_head
 from repro.exec.specs import (
     AdaptiveSpec,
     CampaignSpec,
@@ -128,7 +128,8 @@ class BayesianFaultInjector:
     fast:
         Fast-path selection for parameter-surface campaigns. ``None``
         (default) auto-enables clean-prefix activation caching and batched
-        forward evaluation whenever the model supports them — both are
+        forward evaluation whenever the model supports them and batching
+        removes work (see :meth:`_forward_evaluator`) — both are
         bit-identical to the standard path, so results never change.
         ``False`` forces the standard path (a debugging escape hatch);
         ``True`` demands the fast path and raises if it is unavailable.
@@ -173,6 +174,7 @@ class BayesianFaultInjector:
         self._fast_prefix = _UNSET
         self._fast_evaluator = _UNSET
         self._fast_delta = _UNSET
+        self._batch_forwards = _UNSET
         if fast and not self._parameter_only():
             raise ValueError(
                 "fast=True requires parameter-only fault surfaces; transient "
@@ -252,6 +254,21 @@ class BayesianFaultInjector:
                         ) from exc
             self._fast_evaluator = evaluator
         return self._fast_evaluator
+
+    def _forward_evaluator(self) -> BatchedNetworkEvaluator | None:
+        """Engine for an i.i.d. forward campaign: batched, or ``None`` for the reference path.
+
+        Auto-selection skips batching when it removes no work: when a
+        target sits in a conv at the head of the chain, no golden prefix is
+        shared, and every conv runs once per configuration on either path,
+        so stacking only adds copies. The rule reads the model structure and
+        the targets only. ``fast=True`` always batches.
+        """
+        if self._batch_forwards is _UNSET:
+            self._batch_forwards = self.fast is not None or not faults_conv_head(
+                self.model, [name for name, _ in self.parameter_targets]
+            )
+        return self._batched_evaluator() if self._batch_forwards else None
 
     def _delta_engine(self):
         """Lazily built delta-forward chain engine, or ``None`` when unavailable.
@@ -378,6 +395,7 @@ class BayesianFaultInjector:
             raise ValueError(f"no executor for campaign kind {spec.kind!r}")
         guard = NumericalHazardGuard()
         campaign_metrics = MetricsRegistry()
+        batched_before = getattr(self._fast_evaluator, "configs_scored", 0)
         self._active_guard = guard
         # per-flip detail is only recorded when a driver registry is attached;
         # the authoritative digest below is stamped unconditionally
@@ -407,6 +425,8 @@ class BayesianFaultInjector:
         is_pair = isinstance(outcome, tuple)
         result = outcome[0] if is_pair else outcome
         result = dataclasses.replace(result, duration_s=timer.elapsed, hazard=hazard)
+        batched = getattr(self._fast_evaluator, "configs_scored", 0) - batched_before
+        campaign_metrics.inc("engine.batched.configs", batched)
         digest = self._campaign_digest(campaign_metrics, result)
         result = dataclasses.replace(result, metrics=digest)
         obs.merge_metrics(digest)
@@ -594,7 +614,7 @@ class BayesianFaultInjector:
     def _execute_forward(self, spec: ForwardSpec) -> CampaignResult:
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        evaluator = self._batched_evaluator()
+        evaluator = self._forward_evaluator()
         if evaluator is not None:
             return self._execute_forward_fast(spec, model, evaluator)
         rng = self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -619,7 +639,7 @@ class BayesianFaultInjector:
         logits are bit-identical to the sequential faulted forwards — so the
         recorded chains, posterior, and digest all match exactly. Only the
         evaluation order changes: configurations are scored ``_FAST_CHUNK``
-        at a time through one stacked-einsum sweep.
+        at a time through one stacked sweep.
         """
         p, stream = spec.p, spec.stream
         if spec.chains <= 0:

@@ -24,6 +24,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.nn.containers import Sequential
+from repro.nn.conv import Conv2d
 from repro.nn.models.lenet import LeNet
 from repro.nn.models.mlp import MLP
 from repro.nn.models.resnet import ResNet
@@ -107,6 +108,19 @@ def owning_step(steps: list[ChainStep], parameter_name: str) -> int | None:
         if step.name and parameter_name.startswith(step.name + "."):
             return index
     return None
+
+
+def faults_conv_head(model: Module, target_names: list[str]) -> bool:
+    """Whether a target lives in a Conv2d that is the first module of the chain.
+
+    Such a campaign shares no golden prefix: every configuration runs every
+    conv of the network, so stacking configurations saves no work.
+    """
+    steps = forward_chain(model) or []
+    head = next((index for index, step in enumerate(steps) if step.module is not None), None)
+    return head is not None and isinstance(steps[head].module, Conv2d) and any(
+        owning_step(steps, name) == head for name in target_names
+    )
 
 
 class PrefixCachedForward:

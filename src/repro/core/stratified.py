@@ -169,13 +169,24 @@ class StratifiedErrorEstimator:
     # ------------------------------------------------------------------ #
 
     def strata_for(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """(k values, P(K=k)) covering all but ``mass_tolerance`` of the mass."""
+        """(k values, P(K=k)) covering all but ``mass_tolerance`` of the mass.
+
+        Raises ``ValueError`` when ``max_strata`` caps them below any
+        representable mass (large ``p`` over many bits), before any forward.
+        """
         if not 0 < p < 1:
             raise ValueError(f"flip probability must be in (0, 1), got {p}")
         k_max = int(sps.binom.ppf(1.0 - self.mass_tolerance, self.total_bits, p))
         k_max = min(max(k_max, 1), self.max_strata)
         ks = np.arange(0, k_max + 1)
         weights = sps.binom.pmf(ks, self.total_bits, p)
+        covered = float(weights.sum())
+        if covered == 0.0:
+            raise ValueError(
+                f"stratified estimate impossible at p={p:g}: strata k <= {k_max} over "
+                f"{self.total_bits} bits (max_strata={self.max_strata}) cover Binomial mass "
+                f"{covered:g}; raise max_strata or use a forward or MCMC campaign"
+            )
         return ks, weights
 
     def estimate(self, p: float) -> StratifiedEstimate:

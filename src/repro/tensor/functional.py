@@ -1,16 +1,21 @@
 """Convolution, pooling, padding, and softmax primitives.
 
 Convolution is implemented with the im2col transformation: each receptive
-field is flattened into a row, so the convolution becomes one large matrix
-multiply. That keeps both the forward pass and the gradient fully
-vectorised, which matters because BDLFI campaigns run thousands of forward
-passes per probability point.
+field is gathered into one row of a patch matrix (:func:`patch_rows`), so
+the convolution becomes one ``np.matmul`` against the flattened kernel.
+That keeps both the forward pass and the gradient fully vectorised, which
+matters because BDLFI campaigns run thousands of forward passes per
+probability point.
 
 Layout convention: images are NCHW (batch, channels, height, width) —
-the layout the paper's ResNet-18 uses.
+the layout the paper's ResNet-18 uses. A convolution's output is an NCHW
+*view* of pixel-major memory (the GEMM's natural output); downstream ops
+are elementwise or make their input contiguous before reducing.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,15 +30,8 @@ __all__ = [
     "softmax",
     "log_softmax",
     "im2col_indices",
+    "patch_rows",
 ]
-
-
-#: gather-index cache — the indices depend only on the geometry below, not
-#: on the batch size or data, so every forward pass of a fixed architecture
-#: hits after the first. Bounded FIFO; entries are marked read-only since
-#: they are shared across callers.
-_IM2COL_CACHE: dict[tuple[int, int, int, int, int, int, int], tuple] = {}
-_IM2COL_CACHE_LIMIT = 128
 
 
 def im2col_indices(
@@ -46,7 +44,13 @@ def im2col_indices(
     Results are cached on the geometry (batch size is irrelevant), so the
     returned index arrays are shared and read-only.
     """
-    _, channels, height, width = x_shape
+    return _im2col(*x_shape[1:], kh, kw, stride, padding)
+
+
+#: gather indices depend only on the geometry, not on the batch size or
+#: data, so every forward pass of a fixed architecture hits after the first
+@functools.lru_cache(maxsize=128)
+def _im2col(channels: int, height: int, width: int, kh: int, kw: int, stride: int, padding: int):
     out_h = (height + 2 * padding - kh) // stride + 1
     out_w = (width + 2 * padding - kw) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -54,11 +58,6 @@ def im2col_indices(
             f"kernel ({kh}x{kw}, stride={stride}, padding={padding}) larger than "
             f"padded input ({height}x{width})"
         )
-    key = (channels, height, width, kh, kw, stride, padding)
-    cached = _IM2COL_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     i0 = np.repeat(np.arange(kh), kw)
     i0 = np.tile(i0, channels)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
@@ -69,9 +68,6 @@ def im2col_indices(
     k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
     for index in (k, i, j):
         index.flags.writeable = False
-    if len(_IM2COL_CACHE) >= _IM2COL_CACHE_LIMIT:
-        _IM2COL_CACHE.pop(next(iter(_IM2COL_CACHE)))
-    _IM2COL_CACHE[key] = (k, i, j, out_h, out_w)
     return k, i, j, out_h, out_w
 
 
@@ -88,6 +84,51 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
     return Tensor._make(out_data, (x,), _backward, "pad2d")
 
 
+@functools.lru_cache(maxsize=128)
+def _patch_index(channels: int, height: int, width: int, kh: int, kw: int, stride: int, padding: int):
+    """Gather index into one flattened image, shape ``(P, C*kh*kw)`` (shared, read-only).
+
+    Padding positions point one past the image, at the zero that
+    :func:`patch_rows` appends, so no padded copy is ever built.
+    """
+    k, i, j, _, _ = _im2col(channels, height, width, kh, kw, stride, padding)
+    i, j = i - padding, j - padding
+    inside = (i >= 0) & (i < height) & (j >= 0) & (j < width)
+    index = np.where(inside, (k * height + i) * width + j, channels * height * width)
+    index = np.ascontiguousarray(index.T)
+    index.flags.writeable = False
+    return index
+
+
+def patch_rows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, int, int]:
+    """im2col in GEMM layout: ``(..., B, C, H, W)`` → ``(..., B*P, C*kh*kw)`` patch rows.
+
+    Row ``b*P + p`` holds the receptive field of output pixel ``p`` of image
+    ``b``, so a convolution is one ``np.matmul(rows, w_mat.T)`` per leading
+    index, and the batched engine's per-configuration products are the
+    exact sgemm calls ``conv2d`` makes. The rows are one ``np.take`` of a
+    cached per-image index. They are C-ordered, except a single image's,
+    which come back Fortran-ordered: sgemm's small-matrix kernels round
+    differently by operand order, and these are the orders numpy 2.4's
+    ``einsum`` fed it for the formulation this kernel replaced, so results
+    there stay bit-identical to it (pinned by
+    ``tests/test_tensor/test_conv_kernel.py``).
+    ``x`` may have any strides. Returns ``(rows, out_h, out_w)``.
+    """
+    *lead, batch, channels, height, width = x.shape
+    _, _, _, out_h, out_w = _im2col(channels, height, width, kh, kw, stride, padding)
+    index = _patch_index(channels, height, width, kh, kw, stride, padding)
+    # each image flattened, plus one trailing zero for the padding positions
+    flat = np.empty(tuple(lead) + (batch, channels * height * width + 1), dtype=x.dtype)
+    flat[..., :-1].reshape(x.shape)[...] = x
+    flat[..., -1] = 0
+    if batch == 1:
+        rows = np.take(flat, index.T, axis=-1).swapaxes(-1, -2)
+    else:
+        rows = np.take(flat, index, axis=-1)
+    return rows.reshape(tuple(lead) + (batch * index.shape[0], index.shape[1])), out_h, out_w
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) over an NCHW input.
 
@@ -99,30 +140,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if in_c != w_in_c:
         raise ValueError(f"input has {in_c} channels but weight expects {w_in_c}")
 
-    x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    k, i, j, out_h, out_w = im2col_indices(x.shape, kh, kw, stride, padding)
-
-    # cols: (batch, C*kh*kw, out_h*out_w)
-    cols = x_padded[:, k, i, j]
+    rows, out_h, out_w = patch_rows(x.data, kh, kw, stride, padding)
     w_mat = weight.data.reshape(out_c, -1)  # (out_c, C*kh*kw)
-    out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
+    out = np.matmul(rows, w_mat.T)  # (batch*P, out_c)
     if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1)
-    out_data = out.reshape(batch, out_c, out_h, out_w)
+        out = out + bias.data
+    out_data = out.reshape(batch, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
-    padded_shape = x_padded.shape
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def _backward(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(batch, out_c, -1)  # (batch, out_c, P)
+        # (batch*P, out_c); operand orders below are pinned like the forward's
+        grad_rows = grad.reshape(batch, out_c, -1).transpose(0, 2, 1).reshape(-1, out_c)
         if weight.requires_grad:
-            gw = np.einsum("bop,bfp->of", grad_mat, cols, optimize=True)
+            gw = np.matmul(np.ascontiguousarray(rows.T), grad_rows).T
             weight._accumulate(gw.reshape(weight.shape).astype(weight.dtype))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(0, 2)).astype(bias.dtype))
+            bias._accumulate(grad.reshape(batch, out_c, -1).sum(axis=(0, 2)).astype(bias.dtype))
         if x.requires_grad:
-            gcols = np.einsum("of,bop->bfp", w_mat, grad_mat, optimize=True)
-            gx_padded = np.zeros(padded_shape, dtype=x.dtype)
+            gcols = np.matmul(grad_rows, w_mat).reshape(batch, -1, w_mat.shape[1]).transpose(0, 2, 1)
+            k, i, j, _, _ = im2col_indices(x.shape, kh, kw, stride, padding)
+            gx_padded = np.zeros(
+                (batch, in_c, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding), dtype=x.dtype
+            )
             # Scatter-add patch gradients back into the padded image.
             np.add.at(gx_padded, (slice(None), k, i, j), gcols)
             if padding:
@@ -192,9 +232,9 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 
     The input is made C-contiguous before reducing: numpy's pairwise
     summation visits elements in memory order, so the mean's low-order bits
-    would otherwise depend on the (implementation-defined) stride layout
-    the upstream einsum happened to produce — and the batched fast path
-    must reproduce the standard path bit-for-bit.
+    would otherwise depend on the stride layout upstream ops produced (a
+    convolution returns an NCHW view of pixel-major memory) — and the
+    batched fast path must reproduce the standard path bit-for-bit.
     """
     if not x.data.flags["C_CONTIGUOUS"]:
         x = _as_contiguous(x)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.core import BayesianFaultInjector, StratifiedErrorEstimator
+from repro.exec import StratifiedSpec
 from repro.faults import FaultSurface, TargetSpec
 
 
@@ -45,6 +46,16 @@ class TestStrata:
         estimator = StratifiedErrorEstimator(injector, samples_per_stratum=5)
         with pytest.raises(ValueError):
             estimator.strata_for(0.0)
+
+    def test_zero_mass_strata_fail_before_any_forward(self, injector):
+        """Capped strata below any representable mass raise instead of NaN-ing later."""
+        estimator = StratifiedErrorEstimator(injector, samples_per_stratum=5, max_strata=4)
+        bits = estimator.total_bits
+        with pytest.raises(ValueError, match=rf"p=0\.5: .* over {bits} bits \(max_strata=4\) cover Binomial mass 0"):
+            estimator.estimate(0.5)
+        assert estimator.evaluations_spent == 0
+        with pytest.raises(ValueError, match="max_strata=4"):
+            injector.run(StratifiedSpec(p=0.5, samples_per_stratum=5, max_strata=4))
 
     def test_exact_flip_count_configurations(self, injector, rng):
         estimator = StratifiedErrorEstimator(injector, samples_per_stratum=5)
