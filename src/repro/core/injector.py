@@ -35,7 +35,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.bits.fields import field_mask
-from repro.bits.float32 import count_set_bits
+from repro.bits.float32 import POPCOUNT_TABLE
 from repro.core.batched import BatchedNetworkEvaluator
 from repro.core.campaign import CampaignResult
 from repro.core.hazard import NumericalHazardGuard
@@ -78,8 +78,9 @@ __all__ = ["BayesianFaultInjector"]
 
 _LOGGER = get_logger("core")
 
-#: sign/exponent/mantissa masks, precomputed for the per-flip field taxonomy
-_FIELD_MASKS = tuple((field, field_mask(field)) for field in ("sign", "exponent", "mantissa"))
+#: sign/exponent/mantissa names and masks, for the per-flip field taxonomy
+_FIELDS = ("sign", "exponent", "mantissa")
+_FIELD_MASKS = np.array([field_mask(field) for field in _FIELDS], dtype=np.uint32)[:, None]
 
 #: configurations evaluated per batched sweep on the fast forward path —
 #: bounds the (chunk, batch, channels, H, W) float64 intermediates
@@ -98,15 +99,29 @@ def _record_configuration(metrics, configuration: FaultConfiguration) -> None:
     reduce to identical totals.
     """
     metrics.inc("forward_passes")
+    names, lanes = [], []
     for name, sparse in configuration.sparse_items():
-        flips = sparse.count_set_bits()
+        if sparse.touched:
+            names.append(name)
+            lanes.append(sparse.lane_masks)
+    if not names:
+        return
+    # One pass over every touched element: split the lane masks into the
+    # three fields, count each 16-bit half's bits by table, then sum each
+    # target's run of halves (2 per element). Field masks are per-lane
+    # constants, so counting over touched elements equals counting the
+    # dense mask.
+    starts = np.cumsum([0] + [len(part) for part in lanes[:-1]]) * 2
+    fields = np.concatenate(lanes)[None, :] & _FIELD_MASKS
+    per_target = np.add.reduceat(
+        POPCOUNT_TABLE.take(fields.view(np.uint16)), starts, axis=1, dtype=np.int64
+    )
+    for name, by_field in zip(names, per_target.T.tolist()):
+        flips = sum(by_field)
         if not flips:
             continue
         metrics.inc(f"flips.layer.{name}", flips)
-        for field, bits in _FIELD_MASKS:
-            # Field masks are per-lane constants, so counting over the
-            # touched elements' lane masks equals counting over the dense mask.
-            in_field = count_set_bits(sparse.lane_masks & bits)
+        for field, in_field in zip(_FIELDS, by_field):
             if in_field:
                 metrics.inc(f"flips.field.{field}", in_field)
 

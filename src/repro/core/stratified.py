@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from repro.bits.float32 import BITS_PER_FLOAT, positions_to_mask
+from repro.bits.float32 import BITS_PER_FLOAT
 from repro.core.campaign import CampaignResult
 from repro.core.posterior import ErrorPosterior
 from repro.faults.configuration import FaultConfiguration
+from repro.faults.sparse import SparseMask
 from repro.mcmc.chain import Chain, ChainSet
 from repro.utils.rng import RngFactory
 
@@ -142,7 +143,7 @@ class StratifiedErrorEstimator:
         for index, (name, param) in enumerate(self._targets):
             lo, hi = self._offsets[index], self._offsets[index + 1]
             local = positions[(positions >= lo) & (positions < hi)] - lo
-            masks[name] = positions_to_mask(local, param.shape)
+            masks[name] = SparseMask.from_positions(local, param.shape)
         return FaultConfiguration(masks)
 
     def conditional_error_samples(self, k: int) -> np.ndarray:

@@ -13,12 +13,19 @@ from named :class:`~repro.utils.rng.RngFactory` substreams keyed by
 runs in-process, in a worker, before or after its siblings. Parallel sweeps
 therefore match sequential sweeps exactly.
 
-Fault tolerance (fitting, for a fault-injection tool): each task runs in
-its own worker process with a per-task timeout; a worker that crashes or
-times out is terminated and the task retried a bounded number of attempts
-before the executor gives up. ``workers=1`` — or an environment where
-process spawning fails — degrades gracefully to in-process sequential
-execution.
+Each :meth:`ParallelCampaignExecutor.execute` call starts a warm pool of
+``min(workers, pending tasks)`` processes, feeds them tasks one at a time
+over a pipe, and joins them all before returning or raising. A worker
+receives the task list once and keeps the injector of the last recipe it
+ran, so a sweep on one recipe pays one injector build per worker, not one
+per task.
+
+Fault tolerance (fitting, for a fault-injection tool): every task attempt
+has a timeout; a worker that crashes or times out is terminated, a fresh
+worker takes its slot, and the task is retried a bounded number of
+attempts before the executor gives up. ``workers=1`` — or an environment
+where process spawning fails — degrades gracefully to in-process
+sequential execution.
 
 Attach a :class:`~repro.exec.journal.CampaignJournal` and execution also
 becomes *durable*: every completed task is fsync'd to the journal from the
@@ -43,6 +50,7 @@ driver's result pipe. All compile to a ``None`` check when chaos is off.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from collections import deque
@@ -73,6 +81,11 @@ __all__ = [
 RETRY_CAUSES = ("crash", "timeout", "chaos")
 
 _LOGGER = get_logger("exec")
+
+#: how often an idle worker checks that its driver is still alive (s)
+_ORPHAN_CHECK_S = 1.0
+#: how long an idle worker asked to exit gets before it is terminated (s)
+_STOP_GRACE_S = 1.0
 
 
 class CampaignExecutionError(RuntimeError):
@@ -218,6 +231,8 @@ class ExecutionStats:
     failed_tasks: list[FailedTask] = field(default_factory=list)
     #: longest a running worker went without any sign of life (beat or result)
     worst_heartbeat_gap_s: float = 0.0
+    #: injectors built to run the tasks (one per worker per recipe run)
+    injector_builds: int = 0
 
     @property
     def retries(self) -> int:
@@ -271,6 +286,7 @@ class ExecutionStats:
             "crashes": self.crashes,
             "pipe_drops": self.pipe_drops,
             "pipe_duplicates": self.pipe_duplicates,
+            "injector_builds": self.injector_builds,
         }
 
     def summary(self) -> str:
@@ -304,24 +320,50 @@ class ExecutionStats:
         return f"{line}; {', '.join(extras)}" if extras else line
 
 
-@dataclass
-class _Running:
+@dataclass(eq=False)
+class _Worker:
+    """One warm pool process and the task it is running, if any."""
+
     process: multiprocessing.process.BaseProcess
     connection: Any
-    deadline: float | None
+    index: int | None = None
+    deadline: float | None = None
     started: float = 0.0
     last_beat: float = 0.0
 
 
-def _enact_worker_chaos(chaos_ctx) -> None:
+class _WarmInjector:
+    """Build once, run spec: keeps the injector of the last recipe it ran.
+
+    Consecutive tasks on the same recipe object (every point of a sweep)
+    reuse one injector; a different recipe (the next layer of a layerwise
+    campaign) replaces it, so at most one injector is alive at a time.
+    """
+
+    def __init__(self) -> None:
+        self.recipe: InjectorRecipe | None = None
+        self.injector = None
+        #: injectors built so far
+        self.builds = 0
+
+    def run(self, task: CampaignTask):
+        if task.recipe is not self.recipe:
+            self.recipe = self.injector = None  # release the old one before building
+            self.injector = task.recipe.build()
+            self.recipe = task.recipe
+            self.builds += 1
+        return self.injector.run(task.spec)
+
+
+def _enact_worker_chaos(plan, index: int, attempt: int) -> None:
     """Install the shipped plan in the worker and enact the ``worker.*`` sites.
 
     Decisions key off ``(task index, attempt)``, so they are identical no
     matter which pool slot or machine runs the attempt — and a retried
     attempt rolls fresh coordinates, so a crashy site does not doom a task
-    forever (bounded by ``max_attempts`` either way).
+    forever (bounded by ``max_attempts`` either way). The plan is installed
+    afresh per task, so fire counts start from zero on every attempt.
     """
-    plan, index, attempt = chaos_ctx
     injector = chaos_mod.install(plan)
     if injector.should_fire("worker.sigkill", key=(index, attempt)):
         os._exit(137)  # SIGKILL exit signature: no cleanup, no pipe message
@@ -331,40 +373,62 @@ def _enact_worker_chaos(chaos_ctx) -> None:
         time.sleep(plan.slow_start_s)
 
 
-def _worker_main(task: CampaignTask, connection, obs_config=None, chaos_ctx=None) -> None:
-    """Worker entry point: rebuild the injector, run the spec, ship the result.
+def _worker_loop(tasks: Sequence[CampaignTask], connection, obs_config, plan) -> None:
+    """Warm worker: run the tasks the driver names until it says stop.
 
-    ``obs_config`` is the driver's :class:`~repro.obs.WorkerObsConfig`:
-    applying it first replaces any observability state inherited through
-    ``fork`` (and the default WARNING verbosity under spawn) with fresh
-    instruments, so worker logs honour the driver's ``set_verbosity`` and
-    worker trace events never duplicate driver-recorded ones. Worker-side
-    observations ride home as a third tuple element on the result pipe.
-
-    ``chaos_ctx`` is ``(ChaosPlan, task index, attempt)`` when chaos is
-    on: the plan is installed worker-side (so journal/persist hooks fire
-    in workers too) and the ``worker.*`` sites are enacted at startup.
+    The task list arrives once, at start; each request is ``(index,
+    attempt)`` and each reply ``(index, attempt, status, payload,
+    report)``. Before every task the driver's
+    :class:`~repro.obs.WorkerObsConfig` is applied, replacing any
+    observability state inherited through ``fork`` (or left by the
+    previous task) with fresh instruments, so worker logs honour the
+    driver's ``set_verbosity`` and worker trace events never duplicate
+    driver-recorded ones. With a chaos ``plan`` the ``worker.*`` sites are
+    enacted before the task runs. A ``None`` request, a closed pipe or a
+    vanished driver ends the loop.
     """
-    try:
-        if obs_config is not None:
-            obs.apply_worker_config(obs_config)
-        if chaos_ctx is not None:
-            _enact_worker_chaos(chaos_ctx)
-        with obs.span("worker.task", kind=task.spec.kind, p=task.spec.p):
-            injector = task.recipe.build()
-            result = injector.run(task.spec)
-        connection.send(("ok", result, obs.drain_worker_report()))
-    except BaseException as exc:  # noqa: BLE001 — everything must cross the pipe
+    driver = os.getppid()
+    runner = _WarmInjector()
+    while True:
+        if not connection.poll(_ORPHAN_CHECK_S):
+            if os.getppid() != driver:
+                return  # the driver died without telling us
+            continue
         try:
-            connection.send(("error", exc))
+            request = connection.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        index, attempt = request
+        task = tasks[index]
+        builds = runner.builds
+        try:
+            obs.apply_worker_config(obs_config)
+            if plan is not None:
+                _enact_worker_chaos(plan, index, attempt)
+            with obs.span("worker.task", kind=task.spec.kind, p=task.spec.p):
+                result = runner.run(task)
+            report = obs.drain_worker_report()
+            status, payload = "ok", result
+        except BaseException as exc:  # noqa: BLE001 — everything must cross the pipe
+            report, status, payload = {}, "error", exc
+        report["injector_builds"] = runner.builds - builds
+        try:
+            connection.send((index, attempt, status, payload, report))
         except Exception:
-            connection.send(("error", RuntimeError(f"unpicklable worker error: {exc!r}")))
-    finally:
-        connection.close()
+            connection.send((
+                index, attempt, "error",
+                RuntimeError(f"unpicklable worker reply: {payload!r}"), report,
+            ))
 
 
 class ParallelCampaignExecutor:
-    """Fan a list of campaign specs out over worker processes.
+    """Fan a list of campaign specs out over a warm worker pool.
+
+    The pool lives for one :meth:`execute` call: ``min(workers, pending
+    tasks)`` processes, each reusing its injector while the recipe stays
+    the same (``stats.injector_builds`` counts the builds).
 
     Parameters
     ----------
@@ -375,8 +439,10 @@ class ParallelCampaignExecutor:
         Pool width. ``1`` (or an unavailable pool) runs everything
         sequentially in-process — same results, no processes.
     timeout_s:
-        Per-task wall-clock budget. A task over budget is terminated and
-        counts as a failed attempt. ``None`` disables the timeout.
+        Per-task wall-clock budget, counted from when the task is handed
+        to a worker. A task over budget has its worker terminated (and
+        replaced) and counts as a failed attempt. ``None`` disables the
+        timeout.
     max_attempts:
         Total tries per task (first run + retries) before
         :class:`CampaignExecutionError` is raised. Worker *crashes* and
@@ -539,6 +605,7 @@ class ParallelCampaignExecutor:
             registry.inc("executor.failed", stats.failed)
             registry.inc("executor.pipe_drops", stats.pipe_drops)
             registry.inc("executor.pipe_duplicates", stats.pipe_duplicates)
+            registry.inc("executor.injector_builds", stats.injector_builds)
             registry.observe("executor.duration_s", stats.duration_s)
             if stats.worst_heartbeat_gap_s:
                 registry.set_gauge("executor.worst_heartbeat_gap_s", stats.worst_heartbeat_gap_s)
@@ -629,31 +696,31 @@ class ParallelCampaignExecutor:
         results: list,
         keys: Sequence,
     ) -> None:
-        # Rebuild each distinct recipe once; sweeps share a single recipe
-        # across every point, so this costs one golden evaluation total.
-        injectors: dict[int, Any] = {}
-        for index in pending:
-            task = tasks[index]
-            recipe_key = id(task.recipe)
-            try:
-                if recipe_key not in injectors:
-                    injectors[recipe_key] = task.recipe.build()
-                # injector.run merges the campaign digest in-process here, so
-                # this path must not merge again (that would double-count)
-                outcome = injectors[recipe_key].run(task.spec)
-            except Exception as exc:
-                # in-process failures are deterministic: retrying cannot help
-                if self.on_failure == "abort":
-                    raise
-                self._quarantine(index, keys[index], f"campaign raised: {exc!r}", 1, "error")
-                continue
-            results[index] = outcome
-            self._record(keys[index], outcome)
-            obs.publish("executor.task_done", task=index, campaign=task.spec.kind, p=task.spec.p)
-            publish_outcome(index, outcome, spec=task.spec, target=task.recipe.target_spec)
+        # a sweep shares one recipe across every point, so this costs one
+        # golden evaluation total
+        runner = _WarmInjector()
+        try:
+            for index in pending:
+                task = tasks[index]
+                try:
+                    # injector.run merges the campaign digest in-process here, so
+                    # this path must not merge again (that would double-count)
+                    outcome = runner.run(task)
+                except Exception as exc:
+                    # in-process failures are deterministic: retrying cannot help
+                    if self.on_failure == "abort":
+                        raise
+                    self._quarantine(index, keys[index], f"campaign raised: {exc!r}", 1, "error")
+                    continue
+                results[index] = outcome
+                self._record(keys[index], outcome)
+                obs.publish("executor.task_done", task=index, campaign=task.spec.kind, p=task.spec.p)
+                publish_outcome(index, outcome, spec=task.spec, target=task.recipe.target_spec)
+        finally:
+            self.stats.injector_builds += runner.builds
 
     # ------------------------------------------------------------------ #
-    # process-per-task scheduler
+    # warm worker pool
     # ------------------------------------------------------------------ #
 
     def _context(self):
@@ -663,12 +730,10 @@ class ParallelCampaignExecutor:
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
 
-    def _spawn(self, ctx, task: CampaignTask, obs_config, index: int, attempt: int) -> _Running:
-        parent, child = ctx.Pipe(duplex=False)
-        plan = self.chaos if self.chaos is not None else chaos_mod.active_plan()
-        chaos_ctx = None if plan is None else (plan, index, attempt)
+    def _start_worker(self, ctx, tasks, obs_config, plan) -> _Worker:
+        parent, child = ctx.Pipe()
         process = ctx.Process(
-            target=_worker_main, args=(task, child, obs_config, chaos_ctx), daemon=True
+            target=_worker_loop, args=(tasks, child, obs_config, plan), daemon=True
         )
         try:
             process.start()
@@ -676,12 +741,23 @@ class ParallelCampaignExecutor:
             parent.close()
             child.close()
             raise _PoolUnavailable(str(exc)) from exc
-        child.close()  # the worker holds the write end now
+        child.close()  # the worker holds its end now
+        return _Worker(process=process, connection=parent)
+
+    def _dispatch(self, worker: _Worker, index: int, attempt: int) -> None:
+        """Hand one task attempt to an idle worker and start its clocks.
+
+        A worker that died while idle cannot take the request; the attempt
+        then ends as a crash on the next scheduler pass.
+        """
+        try:
+            worker.connection.send((index, attempt))
+        except OSError:
+            pass
         now = clock_s()
-        deadline = None if self.timeout_s is None else now + self.timeout_s
-        return _Running(
-            process=process, connection=parent, deadline=deadline, started=now, last_beat=now
-        )
+        worker.index = index
+        worker.deadline = None if self.timeout_s is None else now + self.timeout_s
+        worker.started = worker.last_beat = now
 
     def _execute_parallel(
         self,
@@ -692,107 +768,125 @@ class ParallelCampaignExecutor:
     ) -> None:
         ctx = self._context()
         obs_config = obs.worker_config()
+        plan = self.chaos if self.chaos is not None else chaos_mod.active_plan()
         attempts = {index: 0 for index in pending_indexes}
         # pending entries are (index, not-before time): retries with backoff
         # re-enter the queue with a future ready time and wait their turn
         pending: deque[tuple[int, float]] = deque((index, 0.0) for index in pending_indexes)
-        running: dict[int, _Running] = {}
+        pool: list[_Worker] = []
         try:
-            while pending or running:
+            for _ in range(min(self.workers, len(pending))):
+                pool.append(self._start_worker(ctx, tasks, obs_config, plan))
+            while True:
                 now = clock_s()
-                for _ in range(len(pending)):
-                    if len(running) >= self.workers:
-                        break
-                    index, ready = pending.popleft()
-                    if ready > now:
-                        pending.append((index, ready))  # not due yet; rotate
+                for worker in pool:
+                    if worker.index is not None:
                         continue
+                    due = next((entry for entry in pending if entry[1] <= now), None)
+                    if due is None:
+                        break
+                    pending.remove(due)
+                    index = due[0]
                     attempts[index] += 1
-                    running[index] = self._spawn(ctx, tasks[index], obs_config, index, attempts[index])
-                progressed = self._poll(tasks, results, keys, attempts, pending, running)
-                if not progressed and (running or pending):
-                    time.sleep(0.005)
-        finally:
-            for entry in running.values():
-                entry.process.terminate()
-                entry.process.join()
-                entry.connection.close()
-
-    def _poll(self, tasks, results, keys, attempts, pending, running) -> bool:
-        """One scheduler pass; returns whether any task finished or failed."""
-        progressed = False
-        for index in list(running):
-            entry = running[index]
-            if entry.connection.poll(0):
-                self.stats.note_gap(clock_s() - entry.last_beat)
-                try:
-                    with obs.phase("ipc.recv"):
-                        message = entry.connection.recv()
-                    status, payload = message[0], message[1]
-                    report = message[2] if len(message) > 2 else None
-                except EOFError:  # died mid-send
-                    status, payload, report = None, None, None
-                self._reap(entry)
-                del running[index]
-                progressed = True
-                if status == "ok" and chaos_mod.should_fire(
-                    "pipe.drop", key=(index, attempts[index])
-                ):
-                    # the result evaporated in transit; indistinguishable
-                    # from a crash at the driver, so it retries as one
-                    self.stats.pipe_drops += 1
-                    self.stats.crashes += 1
-                    self._retry_or_fail(
-                        tasks, keys, attempts, pending, index,
-                        "result message dropped in transit", cause="chaos",
-                    )
-                elif status == "ok":
-                    self._deliver(tasks, results, keys, index, payload, report)
-                    if chaos_mod.should_fire("pipe.duplicate", key=(index, attempts[index])):
-                        # re-deliver the same message: the completed-slot
-                        # guard must drop it without double-counting
-                        self._deliver(tasks, results, keys, index, payload, report)
-                elif status == "error":
-                    if self.on_failure == "degrade":
-                        # deterministic failure: retrying cannot help
-                        self._quarantine(
-                            index, keys[index], f"failed in worker: {payload!r}",
-                            attempts[index], "error",
+                    self._dispatch(worker, index, attempts[index])
+                busy = [worker for worker in pool if worker.index is not None]
+                if not busy and not pending:
+                    return
+                self._wait(busy, idle=len(busy) < len(pool), pending=pending)
+                for worker in busy:
+                    if self._settle(worker, tasks, results, keys, attempts, pending):
+                        self._stop(worker)  # died or timed out: a fresh worker replaces it
+                        pool[pool.index(worker)] = self._start_worker(
+                            ctx, tasks, obs_config, plan
                         )
-                    else:
-                        raise CampaignExecutionError(
-                            f"campaign {tasks[index].spec!r} failed in worker: {payload!r}"
-                        ) from payload
-                else:
-                    self.stats.crashes += 1
-                    self._retry_or_fail(
-                        tasks, keys, attempts, pending, index, "crashed mid-result", cause="crash"
-                    )
-            elif not entry.process.is_alive():
-                self.stats.note_gap(clock_s() - entry.last_beat)
-                exitcode = entry.process.exitcode
-                self._reap(entry)
-                del running[index]
-                progressed = True
+        finally:
+            for worker in pool:
+                self._stop(worker)
+
+    def _wait(self, busy: list[_Worker], idle: bool, pending) -> None:
+        """Block until a worker replies or dies, or the next deadline, beat or backoff."""
+        times = [worker.deadline for worker in busy if worker.deadline is not None]
+        if self.heartbeat_s is not None:
+            times += [worker.last_beat + self.heartbeat_s for worker in busy]
+        if idle and pending:
+            times.append(min(ready for _, ready in pending))
+        timeout = max(0.0, min(times) - clock_s()) if times else None
+        if busy:
+            handles = [worker.connection for worker in busy]
+            handles += [worker.process.sentinel for worker in busy]
+            multiprocessing.connection.wait(handles, timeout)
+        elif timeout:
+            time.sleep(timeout)
+
+    def _settle(self, worker: _Worker, tasks, results, keys, attempts, pending) -> bool:
+        """Handle one busy worker's reply, death or timeout.
+
+        Returns whether the worker is lost (died or timed out) and must be
+        replaced; after a reply it is idle again.
+        """
+        index = worker.index
+        if worker.connection.poll():
+            self.stats.note_gap(clock_s() - worker.last_beat)
+            try:
+                with obs.phase("ipc.recv"):
+                    _, _, status, payload, report = worker.connection.recv()
+            except EOFError:  # died mid-send
+                status, payload, report = None, None, None
+            if status is not None:
+                worker.index = None
+                self.stats.injector_builds += report["injector_builds"]
+            if status == "ok" and chaos_mod.should_fire(
+                "pipe.drop", key=(index, attempts[index])
+            ):
+                # the result evaporated in transit; indistinguishable
+                # from a crash at the driver, so it retries as one
+                self.stats.pipe_drops += 1
                 self.stats.crashes += 1
                 self._retry_or_fail(
                     tasks, keys, attempts, pending, index,
-                    f"worker died (exit code {exitcode})", cause="crash",
+                    "result message dropped in transit", cause="chaos",
                 )
-            elif entry.deadline is not None and clock_s() > entry.deadline:
-                self.stats.note_gap(clock_s() - entry.last_beat)
-                entry.process.terminate()
-                self._reap(entry)
-                del running[index]
-                progressed = True
-                self.stats.timeouts += 1
-                self._retry_or_fail(
-                    tasks, keys, attempts, pending, index,
-                    f"timed out after {self.timeout_s:g}s", cause="timeout",
-                )
+            elif status == "ok":
+                self._deliver(tasks, results, keys, index, payload, report)
+                if chaos_mod.should_fire("pipe.duplicate", key=(index, attempts[index])):
+                    # re-deliver the same message: the completed-slot
+                    # guard must drop it without double-counting
+                    self._deliver(tasks, results, keys, index, payload, report)
+            elif status == "error":
+                if self.on_failure == "degrade":
+                    # deterministic failure: retrying cannot help
+                    self._quarantine(
+                        index, keys[index], f"failed in worker: {payload!r}",
+                        attempts[index], "error",
+                    )
+                else:
+                    raise CampaignExecutionError(
+                        f"campaign {tasks[index].spec!r} failed in worker: {payload!r}"
+                    ) from payload
             else:
-                self._maybe_beat(index, entry, attempts[index])
-        return progressed
+                self.stats.crashes += 1
+                self._retry_or_fail(
+                    tasks, keys, attempts, pending, index, "crashed mid-result", cause="crash"
+                )
+            return status is None
+        if not worker.process.is_alive():
+            self.stats.note_gap(clock_s() - worker.last_beat)
+            self.stats.crashes += 1
+            self._retry_or_fail(
+                tasks, keys, attempts, pending, index,
+                f"worker died (exit code {worker.process.exitcode})", cause="crash",
+            )
+        elif worker.deadline is not None and clock_s() > worker.deadline:
+            self.stats.note_gap(clock_s() - worker.last_beat)
+            self.stats.timeouts += 1
+            self._retry_or_fail(
+                tasks, keys, attempts, pending, index,
+                f"timed out after {self.timeout_s:g}s", cause="timeout",
+            )
+        else:
+            self._maybe_beat(worker, attempts[index])
+            return False
+        return True
 
     def _deliver(self, tasks, results, keys, index: int, payload, report) -> None:
         """Accept one completed result — exactly once.
@@ -831,33 +925,42 @@ class ParallelCampaignExecutor:
         obs.publish("executor.task_done", task=index, campaign=task.spec.kind, p=task.spec.p)
         publish_outcome(index, payload, spec=task.spec, target=task.recipe.target_spec)
 
-    def _maybe_beat(self, index: int, entry: _Running, attempt: int) -> None:
+    def _maybe_beat(self, worker: _Worker, attempt: int) -> None:
         """Emit a liveness beat for a still-running worker when one is due."""
         if self.heartbeat_s is None:
             return
         now = clock_s()
-        if now - entry.last_beat < self.heartbeat_s:
+        if now - worker.last_beat < self.heartbeat_s:
             return
-        self.stats.note_gap(now - entry.last_beat)
-        entry.last_beat = now
+        self.stats.note_gap(now - worker.last_beat)
+        worker.last_beat = now
         self.stats.heartbeats += 1
-        elapsed = now - entry.started
+        elapsed = now - worker.started
         _LOGGER.info(
             "task %d still running in pid %s after %.1fs (attempt %d)",
-            index, entry.process.pid, elapsed, attempt,
+            worker.index, worker.process.pid, elapsed, attempt,
         )
         obs.publish(
             "executor.heartbeat",
-            task=index,
-            pid=entry.process.pid,
+            task=worker.index,
+            pid=worker.process.pid,
             elapsed_s=elapsed,
             attempt=attempt,
         )
 
     @staticmethod
-    def _reap(entry: _Running) -> None:
-        entry.process.join()
-        entry.connection.close()
+    def _stop(worker: _Worker) -> None:
+        """End a worker: ask an idle one to exit, terminate a busy or dead one."""
+        if worker.index is None and worker.process.exitcode is None:
+            try:
+                worker.connection.send(None)
+            except OSError:
+                pass
+            worker.process.join(_STOP_GRACE_S)
+        if worker.process.exitcode is None:
+            worker.process.terminate()
+        worker.process.join()
+        worker.connection.close()
 
     def _retry_or_fail(
         self, tasks, keys, attempts, pending, index: int, reason: str, cause: str

@@ -63,7 +63,7 @@ class BernoulliBitFlipModel(FaultModel):
         bit-identical whichever representation a campaign uses.
         """
         shape = np.asarray(values).shape
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         positions = sample_flip_positions(n, self.p, rng, bits=self.bits)
         return SparseMask.from_positions(positions, shape)
 

@@ -11,6 +11,8 @@ Bernoulli model does.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.bits.float32 import BITS_PER_FLOAT
@@ -41,7 +43,7 @@ class BurstBitFlipModel(FaultModel):
         self.burst_length = int(burst_length)
 
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         mask = np.zeros(n, dtype=np.uint32)
         if n == 0 or self.event_probability == 0.0:
             return mask.reshape(shape)

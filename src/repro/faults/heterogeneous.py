@@ -63,7 +63,7 @@ class HeterogeneousBitFlipModel(FaultModel):
         uniform element choice — the same identity the homogeneous sampler
         uses, applied 32 times.
         """
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         positions: list[np.ndarray] = []
         for lane, p in enumerate(self.lane_probs):
             if p <= 0.0 or n == 0:

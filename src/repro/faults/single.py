@@ -7,6 +7,8 @@ reproduce the comparisons the paper's Section III draws.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.bits.float32 import BITS_PER_FLOAT, float_to_bits, bits_to_float, positions_to_mask
@@ -32,7 +34,7 @@ class SingleBitFlipModel(FaultModel):
             self.bits = None
 
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         if n == 0:
             raise ValueError("cannot inject a single bit flip into an empty array")
         element = int(rng.integers(0, n))
@@ -90,7 +92,7 @@ class ByteErrorModel(FaultModel):
     """
 
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         if n == 0:
             raise ValueError("cannot inject into an empty array")
         element = int(rng.integers(0, n))

@@ -15,6 +15,8 @@ view is materialised only where a consumer genuinely needs one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.bits.float32 import (
@@ -66,7 +68,7 @@ class SparseMask:
     def from_positions(cls, positions: np.ndarray, shape: tuple[int, ...]) -> "SparseMask":
         """Build from flat bit positions (as drawn by the samplers), O(K log K)."""
         elements, lane_masks = positions_to_sparse(positions)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         if elements.size and (elements.min() < 0 or elements.max() >= n):
             raise ValueError("bit position out of range for shape")
         return cls(shape, elements, lane_masks)
@@ -78,7 +80,7 @@ class SparseMask:
     @property
     def size(self) -> int:
         """Number of elements in the (dense) target tensor."""
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def touched(self) -> int:

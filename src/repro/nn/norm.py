@@ -10,6 +10,8 @@ fault configuration.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.module import Module, Parameter
@@ -56,7 +58,7 @@ class _BatchNorm(Module):
             mean = x.mean(axis=self._reduce_axes, keepdims=True)
             var = x.var(axis=self._reduce_axes, keepdims=True)
             # Update running stats with the *unbiased* variance, as torch does.
-            n = float(np.prod([x.shape[a] for a in self._reduce_axes]))
+            n = float(math.prod(x.shape[a] for a in self._reduce_axes))
             unbiased = var.data.reshape(-1) * (n / max(n - 1.0, 1.0))
             m = self.momentum
             self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mean.data.reshape(-1))

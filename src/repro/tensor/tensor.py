@@ -14,6 +14,7 @@ engine supports full numpy broadcasting — gradients are "unbroadcast"
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -435,7 +436,7 @@ class Tensor:
             count = self.data.size
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.shape[a] for a in axes]))
+            count = math.prod(self.shape[a] for a in axes)
 
         def _backward(grad: np.ndarray) -> None:
             g = grad / count

@@ -134,6 +134,10 @@ class TestExecutorParity:
 
         sequential_results, sequential_counters = run(1)
         parallel_results, parallel_counters = run(4)
+        # one injector per process that ran a task: the one counter that
+        # depends on the pool shape, by design
+        assert sequential_counters.pop("executor.injector_builds") == 1
+        assert parallel_counters.pop("executor.injector_builds") == len(specs)
         # the acceptance criterion: per-worker digests reduce to the exact
         # totals a sequential run records, and results stay bit-identical
         assert parallel_counters == sequential_counters
