@@ -15,8 +15,9 @@ plus their warmup/repeat protocol. Group names match the historical
   image MLP;
 * ``bench_completeness`` — fixed-budget MCMC mixing and adaptive stopping;
 * ``bench_fastpath`` — the faulted-forward fast path (prefix caching +
-  batched evaluation + sparse apply) against the standard path on a
-  ResNet-18 layerwise campaign and on the full ResNet-18 surface;
+  batched evaluation + sparse apply) against the standard path on one
+  deep ResNet-18 layer, on a full ResNet-18 layerwise sweep and on the
+  full ResNet-18 surface;
 * ``bench_mcmc`` — delta-forward chain campaigns against the standard
   per-proposal forward, across the three proposal locality regimes
   (same-layer, cross-layer, full-surface);
@@ -211,7 +212,10 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
     forward — run with ``fast=True`` (prefix caching + batched evaluation)
     and ``fast=False`` (full forward per configuration). Both compute
     bit-identical results; the ratio of their medians is the speedup the
-    fast path buys. The surface pair is the Fig. 4 regime — the full
+    fast path buys. The layerwise-sweep pair times a whole
+    :class:`~repro.core.layerwise.LayerwiseCampaign` (every layer, 2
+    configurations each), so per-layer construction is timed too. The
+    surface pair is the Fig. 4 regime — the full
     weight+bias surface, where no golden prefix is shared and
     auto-selection therefore takes the standard path; its ratio is what
     forcing the batched engine would cost. The apply pair isolates the
@@ -220,7 +224,7 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
     dense full-array XOR it replaced.
     """
     from repro.bits import apply_bit_mask
-    from repro.core import BayesianFaultInjector
+    from repro.core import BayesianFaultInjector, LayerwiseCampaign
     from repro.faults import (
         BernoulliBitFlipModel,
         FaultConfiguration,
@@ -252,6 +256,11 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
     def campaign(injector):
         return injector.forward_campaign(flip_p, samples=samples, chains=1)
 
+    def layerwise_sweep(fast):
+        return LayerwiseCampaign(
+            model, eval_x, eval_y, p=1e-3, samples=2, chains=2, seed=seed, fast=fast
+        ).run()
+
     # The apply pair shares one sampled configuration over the full
     # parameter surface; the dense reference densifies outside the timed
     # region (``sparse()`` keeps the configuration's storage sparse).
@@ -275,6 +284,12 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
         ),
         "resnet_layerwise_standard": CaseSpec(
             functools.partial(campaign, standard_injector), repeats=repeats
+        ),
+        "resnet_layerwise_sweep_fast": CaseSpec(
+            functools.partial(layerwise_sweep, None), repeats=repeats
+        ),
+        "resnet_layerwise_sweep_standard": CaseSpec(
+            functools.partial(layerwise_sweep, False), repeats=repeats
         ),
         "resnet_surface_fast": CaseSpec(
             functools.partial(campaign, surface_fast), repeats=repeats

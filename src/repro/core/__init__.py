@@ -31,7 +31,7 @@ from repro.core.outcomes import OutcomeCampaign, ConfigurationOutcome
 from repro.core.assessment import ResilienceAssessment, assess_model
 from repro.core.tracing import PropagationTrace, LayerDivergence, trace_fault_propagation
 from repro.core.batched import BatchedNetworkEvaluator
-from repro.core.prefix import ChainStep, PrefixCachedForward, forward_chain, run_chain
+from repro.core.prefix import ChainStep, GoldenForward, forward_chain, run_chain
 from repro.core.hazard import HazardReport, NumericalHazardGuard, hazard_aware_error
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
     "trace_fault_propagation",
     "BatchedNetworkEvaluator",
     "ChainStep",
-    "PrefixCachedForward",
+    "GoldenForward",
     "forward_chain",
     "run_chain",
     "HazardReport",

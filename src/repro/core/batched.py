@@ -25,7 +25,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.hazard import HazardReport
-from repro.core.prefix import forward_chain, owning_step, run_chain
+from repro.core.prefix import owning_step
 from repro.faults.configuration import FaultConfiguration
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
@@ -63,9 +63,9 @@ class BatchedNetworkEvaluator:
     ResNet). Three mechanisms keep the sweep bit-identical to ``k``
     sequential faulted forwards while doing far less work:
 
-    * the chain runs *once*, shared, up to the first faulted layer (the
-      activation entering it is cached across :meth:`evaluate_logits`
-      calls — clean-prefix reuse);
+    * the chain starts at the first faulted layer from the golden
+      activation entering it, read from the injector's shared
+      :class:`~repro.core.prefix.GoldenForward` (clean-prefix reuse);
     * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
       parameter tensors against the shared input in one stacked
       ``np.matmul`` (conv shares one patch-row gather across
@@ -76,27 +76,26 @@ class BatchedNetworkEvaluator:
 
     Raises at construction when the model cannot be decomposed-and-verified
     or the campaign has non-parameter surfaces, so callers can fall back to
-    the sequential path.
+    the sequential path. Holds the labels and golden state, not the
+    injector, so caching it on the injector forms no reference cycle.
     """
 
     def __init__(self, injector) -> None:
         if injector.activation_modules or injector._wants_inputs:
             raise ValueError("batched evaluation supports parameter surfaces only")
-        model = injector.model
-        self.injector = injector
-        steps = forward_chain(model)
+        golden = injector._golden
+        steps = golden.steps
         if steps is None:
             raise TypeError(
-                f"no forward chain for {type(model).__name__}; batched evaluation unsupported"
+                f"no forward chain for {type(golden.model).__name__}; batched evaluation unsupported"
             )
         self._steps = steps
         self._targets = sorted(name for name, _ in injector.parameter_targets)
         if not self._targets:
             raise ValueError("no parameter targets to batch over")
-        for _, module in model.named_modules():
+        for _, module in golden.model.named_modules():
             if module.training:
                 raise ValueError("batched evaluation requires eval-mode models")
-        self._x = Tensor(np.asarray(injector.inputs))
         #: dotted target name → owning chain step index
         self.owners: dict[str, int] = {}
         for target in self._targets:
@@ -106,14 +105,10 @@ class BatchedNetworkEvaluator:
             self._check_touched_modules(steps[owner].module, steps[owner].name, target)
             self.owners[target] = owner
         self._cut = min(self.owners.values())
-        with no_grad(), np.errstate(all="ignore"):
-            direct = model(self._x)
-            chained = run_chain(steps, self._x)
-        if not np.array_equal(
-            direct.data.view(np.uint8), chained.data.view(np.uint8)
-        ):
+        if not golden.engaged:
             raise ValueError("forward chain is not bit-identical to model forward")
-        self._prefix: np.ndarray | None = None
+        self._golden = golden
+        self.labels = injector.labels
         #: configurations scored through :meth:`run_segments`, ever
         self.configs_scored = 0
         #: hazard accounting of the most recent :meth:`evaluate` call
@@ -207,7 +202,6 @@ class BatchedNetworkEvaluator:
         call's accounting is left in :attr:`last_hazard`.
         """
         logits = self.evaluate_logits(configurations)
-        labels = self.injector.labels
         finite = np.isfinite(logits).all(axis=2)
         predictions = logits.argmax(axis=2)
         hazard_rows = (~finite).sum(axis=1)
@@ -217,19 +211,13 @@ class BatchedNetworkEvaluator:
             rows=int(finite.size),
             hazard_rows=int(hazard_rows.sum()),
         )
-        wrong = ((predictions != labels[None, :]) & finite).sum(axis=1)
+        wrong = ((predictions != self.labels[None, :]) & finite).sum(axis=1)
         return (wrong + hazard_rows) / logits.shape[1]
 
     def _prefix_activation(self) -> np.ndarray:
         """Shared golden activation entering the first faulted step."""
-        if self._cut == 0:
-            return self._x.data
-        if self._prefix is None:
-            with no_grad():
-                self._prefix = run_chain(self._steps[: self._cut], self._x).data
-            return self._prefix
         with obs.phase("prefix.reuse"):
-            return self._prefix
+            return self._golden.entering(self._cut).data
 
     # ------------------------------------------------------------------ #
     # module dispatch

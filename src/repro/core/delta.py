@@ -126,8 +126,9 @@ class DeltaChainEvaluator:
         not decompose into a verified forward chain).
 
     One engine serves any number of concurrent :meth:`session`\\ s; all
-    mutable chain state lives in the sessions, so the engine can be cached
-    on the injector and shared across campaigns.
+    mutable chain state lives in the sessions. The engine points back at
+    the injector, which therefore builds one per campaign rather than
+    caching it (construction only reads the evaluator).
     """
 
     def __init__(self, injector, evaluator: BatchedNetworkEvaluator | None = None) -> None:

@@ -29,6 +29,7 @@ through hooks when the target spec selects those surfaces.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 
 import numpy as np
@@ -38,8 +39,9 @@ from repro.bits.fields import field_mask
 from repro.bits.float32 import POPCOUNT_TABLE
 from repro.core.batched import BatchedNetworkEvaluator
 from repro.core.campaign import CampaignResult
+from repro.core.delta import DeltaChainEvaluator
 from repro.core.hazard import NumericalHazardGuard
-from repro.core.prefix import PrefixCachedForward, faults_conv_head
+from repro.core.prefix import GoldenForward, faults_conv_head, prefix_cut
 from repro.exec.specs import (
     AdaptiveSpec,
     CampaignSpec,
@@ -168,6 +170,15 @@ class BayesianFaultInjector:
         self.model = model.eval()
         self.inputs = inputs
         self.labels = labels
+        self.fast = fast
+        self._target(spec, seed)
+        #: shared by every injector :meth:`retarget` derives from this one
+        self._golden = GoldenForward(self.model, Tensor(self.inputs))
+        self._x = self._golden.x
+        self._golden_error = classification_error(self._golden.logits, self.labels)
+
+    def _target(self, spec: TargetSpec | None, seed: int) -> None:
+        """Bind the target spec and seed, and reset everything derived from them."""
         self.spec = spec or TargetSpec()
         self.seed = seed
         self._rng_factory = RngFactory(seed)
@@ -178,27 +189,34 @@ class BayesianFaultInjector:
         #: hot path costs one attribute check when detailed metrics are off
         self._active_metrics: MetricsRegistry | None = None
 
-        self.parameter_targets = resolve_parameter_targets(model, self.spec)
-        self.activation_modules = resolve_activation_modules(model, self.spec)
+        self.parameter_targets = resolve_parameter_targets(self.model, self.spec)
+        self.activation_modules = resolve_activation_modules(self.model, self.spec)
         self._wants_parameters = bool(self.parameter_targets)
         self._wants_inputs = FaultSurface.INPUTS in self.spec.surfaces
         if not (self._wants_parameters or self.activation_modules or self._wants_inputs):
             raise ValueError("target spec selects nothing in this model")
 
-        self.fast = fast
         self._fast_prefix = _UNSET
         self._fast_evaluator = _UNSET
-        self._fast_delta = _UNSET
         self._batch_forwards = _UNSET
-        if fast and not self._parameter_only():
+        if self.fast and not self._parameter_only():
             raise ValueError(
                 "fast=True requires parameter-only fault surfaces; transient "
                 "(activation/input) injection redraws faults per forward pass "
                 "and cannot reuse cached activations"
             )
 
-        self._x = Tensor(self.inputs)
-        self._golden_error = self._evaluate_clean()
+    def retarget(self, spec: TargetSpec | None, seed: int) -> "BayesianFaultInjector":
+        """A fresh injector for another target spec and seed on the same model and batch.
+
+        It shares this injector's :class:`GoldenForward`, so the golden
+        logits, chain boundaries and chain verification are computed once
+        for any number of derived injectors (one per layer of a layerwise
+        campaign).
+        """
+        other = copy.copy(self)
+        other._target(spec, seed)
+        return other
 
     # ------------------------------------------------------------------ #
     # evaluation primitives
@@ -208,16 +226,6 @@ class BayesianFaultInjector:
     def golden_error(self) -> float:
         """Classification error of the fault-free network on the eval batch."""
         return self._golden_error
-
-    def _evaluate_clean(self) -> float:
-        with no_grad():
-            logits = self.model(self._x)
-        return classification_error(logits, self.labels)
-
-    def _predict(self) -> np.ndarray:
-        with no_grad():
-            logits = self.model(self._x)
-        return logits.data.argmax(axis=1)
 
     def _transient_context(self, fault_model: FaultModel, rng: np.random.Generator):
         """Stack of hook injectors for the transient (activation/input) surfaces."""
@@ -236,24 +244,20 @@ class BayesianFaultInjector:
         """Whether every selected fault surface is a parameter surface."""
         return self._wants_parameters and not self.activation_modules and not self._wants_inputs
 
-    def _prefix_forward(self) -> PrefixCachedForward | None:
-        """Lazily built clean-prefix forward, or ``None`` when unavailable.
+    def _prefix_forward(self) -> GoldenForward | None:
+        """The golden forward when faulted forwards may start at the cut (``_fast_prefix``).
 
         Engages only for parameter-only campaigns (transient hooks corrupt
         prefix activations, so a cached prefix would miss them) and only when
         the model decomposes into a verified forward chain with a non-trivial
-        cut point.
+        cut point; ``None`` otherwise.
         """
         if self._fast_prefix is _UNSET:
-            prefix = None
+            cut = 0
             if self.fast is not False and self._parameter_only():
-                candidate = PrefixCachedForward(
-                    self.model, self._x, [name for name, _ in self.parameter_targets]
-                )
-                if candidate.engaged:
-                    prefix = candidate
-            self._fast_prefix = prefix
-        return self._fast_prefix
+                cut = prefix_cut(self._golden.steps, [name for name, _ in self.parameter_targets])
+            self._fast_prefix = cut if cut and self._golden.engaged else 0
+        return self._golden if self._fast_prefix else None
 
     def _batched_evaluator(self) -> BatchedNetworkEvaluator | None:
         """Lazily built batched evaluator, or ``None`` when unavailable."""
@@ -285,23 +289,6 @@ class BayesianFaultInjector:
             )
         return self._batched_evaluator() if self._batch_forwards else None
 
-    def _delta_engine(self):
-        """Lazily built delta-forward chain engine, or ``None`` when unavailable.
-
-        Shares the injector's :class:`BatchedNetworkEvaluator` (one chain
-        decomposition + verification per injector); the engine itself is
-        stateless across campaigns — each sampler run opens fresh sessions.
-        """
-        if self._fast_delta is _UNSET:
-            engine = None
-            evaluator = self._batched_evaluator()
-            if evaluator is not None:
-                from repro.core.delta import DeltaChainEvaluator
-
-                engine = DeltaChainEvaluator(self, evaluator)
-            self._fast_delta = engine
-        return self._fast_delta
-
     def _chain_engine(self, spec_fast: bool | None):
         """Delta engine for one chain campaign, honouring the spec override.
 
@@ -321,14 +308,17 @@ class BayesianFaultInjector:
                     "and cannot reuse cached activations"
                 )
             return None
-        engine = self._delta_engine()
-        if engine is None and effective is True:
-            raise ValueError(
-                "fast=True but delta-forward chain evaluation is unavailable "
-                "(the model does not decompose into a verified forward chain, "
-                "or the injector was built with fast=False)"
-            )
-        return engine
+        evaluator = self._batched_evaluator()
+        if evaluator is None:
+            if effective is True:
+                raise ValueError(
+                    "fast=True but delta-forward chain evaluation is unavailable "
+                    "(the model does not decompose into a verified forward chain, "
+                    "or the injector was built with fast=False)"
+                )
+            return None
+        # per campaign: the engine points back here, so caching it would form a cycle
+        return DeltaChainEvaluator(self, evaluator)
 
     def make_statistic(
         self,
@@ -350,7 +340,8 @@ class BayesianFaultInjector:
         polluting the misclassification statistic.
         """
         hazard_guard = guard or self._active_guard or NumericalHazardGuard()
-        fast_forward = self._prefix_forward()
+        golden = self._prefix_forward()
+        cut = self._fast_prefix
 
         def statistic(configuration: FaultConfiguration) -> float:
             if self._active_metrics is not None:
@@ -370,8 +361,8 @@ class BayesianFaultInjector:
                 stack.enter_context(self._transient_context(fault_model, rng))
                 with obs.phase("forward.eval"):
                     with no_grad():
-                        if fast_forward is not None:
-                            logits = fast_forward.forward()
+                        if golden is not None:
+                            logits = golden.forward(cut)
                         else:
                             logits = self.model(self._x)
             return hazard_guard.score(logits, self.labels)
@@ -380,8 +371,8 @@ class BayesianFaultInjector:
 
     def predictions_under(self, configuration: FaultConfiguration) -> np.ndarray:
         """Predicted labels with a parameter-fault configuration applied."""
-        with apply_configuration(self.model, configuration):
-            return self._predict()
+        with apply_configuration(self.model, configuration), no_grad():
+            return self.model(self._x).data.argmax(axis=1)
 
     # ------------------------------------------------------------------ #
     # the spec dispatcher
@@ -789,8 +780,6 @@ class BayesianFaultInjector:
         generators = [
             self._rng_factory.stream(f"{stream}:p={p!r}:chain={i}") for i in range(spec.chains)
         ]
-        from repro.mcmc.chain import Chain
-
         chain_objs = [Chain(i) for i in range(spec.chains)]
         report = None
         while chain_objs[0].values.size < spec.max_steps:

@@ -86,7 +86,9 @@ class LayerwiseCampaign:
         Fast-path selection forwarded to every per-layer injector (``None``
         auto-enables the bit-identical prefix-cached/batched forward path —
         layerwise campaigns are its best case, since deep layers reuse long
-        clean prefixes; ``False`` forces the standard path).
+        clean prefixes; ``False`` forces the standard path). In-process,
+        later layers' injectors come from ``retarget`` on the first one, so
+        the golden forward runs once per :meth:`run`.
     """
 
     model: Module
@@ -139,6 +141,7 @@ class LayerwiseCampaign:
             ]
             return self.executor.execute(tasks)
         campaigns = []
+        root = None
         for depth, layer in enumerate(self.layers):
             key = None
             if self.journal is not None:
@@ -156,10 +159,13 @@ class LayerwiseCampaign:
                     publish_outcome(depth, cached, spec=spec, target=self._layer_spec(layer))
                     campaigns.append(cached)
                     continue
-            injector = BayesianFaultInjector(
-                self.model, self.inputs, self.labels,
-                spec=self._layer_spec(layer), seed=self.seed + depth, fast=self.fast,
-            )
+            if root is None:
+                injector = root = BayesianFaultInjector(
+                    self.model, self.inputs, self.labels,
+                    spec=self._layer_spec(layer), seed=self.seed + depth, fast=self.fast,
+                )
+            else:
+                injector = root.retarget(self._layer_spec(layer), self.seed + depth)
             outcome = injector.run(spec)
             if self.journal is not None:
                 self.journal.record(key, outcome)

@@ -19,7 +19,7 @@ from repro.baselines.compare import wilson_interval
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.injection import apply_configuration
 from repro.faults.model import FaultModel
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import no_grad
 
 __all__ = ["ConfigurationOutcome", "OutcomeCampaign"]
 
@@ -60,9 +60,8 @@ class OutcomeCampaign:
         if injector.activation_modules or injector._wants_inputs:
             raise ValueError("outcome campaigns support parameter surfaces only")
         self.injector = injector
-        self._x = Tensor(injector.inputs)
-        with no_grad():
-            self._golden_predictions = injector.model(self._x).data.argmax(axis=1)
+        self._x = injector._x
+        self._golden_predictions = injector._golden.logits.data.argmax(axis=1)
         self.outcomes: list[ConfigurationOutcome] = []
 
     def _evaluate(self, configuration: FaultConfiguration) -> ConfigurationOutcome:

@@ -9,11 +9,14 @@ dominant cost.
 This module decomposes supported models into a *forward chain* of segments
 whose sequential application is verified bit-identical to ``model(x)``,
 finds the earliest segment any fault target lives in (the *cut point*),
-caches the golden activation entering the cut (keyed by the injector's
-fixed evaluation batch), and starts every faulted forward there. Since the
-suffix executes exactly the ops the full forward would — on bit-identical
-inputs, because the prefix parameters are untouched — the logits are
-bit-identical to the standard path; the property tests enforce that.
+and starts every faulted forward there from the golden activation entering
+it. :class:`GoldenForward` computes the golden state once per model and
+evaluation batch — the eager logits, every chain boundary and the
+verification — and every injector and engine of a campaign on that batch
+reads from it. Since the suffix executes exactly the ops the full forward
+would — on bit-identical inputs, because the prefix parameters are
+untouched — the logits are bit-identical to the standard path; the
+property tests enforce that.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.nn.models.resnet import ResNet
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["ChainStep", "forward_chain", "run_chain", "PrefixCachedForward"]
+__all__ = ["ChainStep", "GoldenForward", "forward_chain", "prefix_cut", "run_chain"]
 
 #: sentinel step name for the MLP's implicit input flatten (owns no params)
 _FLATTEN = "<flatten>"
@@ -123,75 +126,74 @@ def faults_conv_head(model: Module, target_names: list[str]) -> bool:
     )
 
 
-class PrefixCachedForward:
-    """Evaluate faulted forwards from a cached golden prefix activation.
+def prefix_cut(steps: list[ChainStep] | None, target_names: list[str]) -> int:
+    """Index of the earliest step owning a target, or 0 when no prefix is worth reusing.
 
-    Parameters
-    ----------
-    model:
-        The golden network (eval mode).
-    x:
-        The fixed evaluation batch every campaign forward uses — the cache
-        key; a different batch needs a different instance.
-    target_names:
-        Dotted parameter names faults may land in. The cut point is the
-        earliest chain segment owning any of them.
+    0 also when a target's owner is unknown, or when only synthetic
+    (parameterless) steps precede the cut — e.g. the MLP flatten.
+    """
+    owners = [owning_step(steps, name) for name in target_names] if steps else []
+    if not owners or None in owners:
+        return 0
+    cut = min(owners)
+    return 0 if all(step.module is None for step in steps[:cut]) else cut
 
-    ``engaged`` is False (and :meth:`forward` must not be used) when the
-    model topology is unsupported, the chain fails bit-identity
-    verification against ``model(x)``, a target cannot be located, or the
-    cut point is the first segment (nothing to reuse).
+
+class GoldenForward:
+    """The golden forward of one model on one evaluation batch, computed once.
+
+    Construction runs one eager ``model(x)``, whose :attr:`logits` give the
+    golden error. The first use of :attr:`engaged` (or :meth:`entering`)
+    runs the forward chain once on the golden parameters, records the
+    activation entering every segment, and checks the chained logits bit
+    for bit against the eager ones; the outcome, failure included, is
+    cached. Injectors derived by
+    :meth:`~repro.core.injector.BayesianFaultInjector.retarget`, and every
+    engine they build, share one instance; another batch needs another.
     """
 
-    def __init__(self, model: Module, x: Tensor, target_names: list[str]) -> None:
+    def __init__(self, model: Module, x: Tensor) -> None:
         self.model = model
         self.x = x
-        self.cut = 0
-        self._steps = forward_chain(model)
-        self._prefix_activation: Tensor | None = None
-        if self._steps is None or not target_names:
-            return
-        owners = [owning_step(self._steps, name) for name in target_names]
-        if any(owner is None for owner in owners):
-            return
-        cut = min(owners)
-        if cut <= 0:
-            return
-        if all(step.module is None for step in self._steps[:cut]):
-            # Only synthetic (parameterless) steps precede the cut — e.g. the
-            # MLP flatten before its first Dense. Nothing worth caching.
-            return
-        # Verify the decomposition reproduces the real forward bit-for-bit
-        # before trusting it (a subclass could override forward()).
-        with no_grad(), np.errstate(all="ignore"):
-            direct = model(x)
-            chained = run_chain(self._steps, x)
-        if not np.array_equal(
-            direct.data.view(np.uint32), chained.data.view(np.uint32)
-        ):
-            return
-        self.cut = cut
+        with no_grad():
+            self.logits = model(x)
+        self.steps = forward_chain(model)
+        self._boundaries: list[Tensor] | None = None
+        self._verified: bool | None = None
 
     @property
     def engaged(self) -> bool:
-        """Whether faulted forwards will reuse a cached prefix."""
-        return self.cut > 0
+        """Whether the forward chain reproduces ``model(x)`` bit for bit."""
+        if self._verified is None:
+            boundaries = [self.x]
+            with no_grad(), np.errstate(all="ignore"):
+                for step in self.steps or []:
+                    boundaries.append(step(boundaries[-1]))
+            self._verified = self.steps is not None and np.array_equal(
+                boundaries[-1].data.view(np.uint32), self.logits.data.view(np.uint32)
+            )
+            self._boundaries = boundaries if self._verified else None
+        return self._verified
 
-    def prefix_activation(self) -> Tensor:
-        """Golden activation entering the cut segment (computed once)."""
-        if self._prefix_activation is None:
-            with no_grad():
-                self._prefix_activation = run_chain(self._steps[: self.cut], self.x)
-        return self._prefix_activation
+    def entering(self, index: int) -> Tensor:
+        """Golden activation entering ``steps[index]`` (``len(steps)``: the logits)."""
+        if not self.engaged:
+            raise ValueError("forward chain is not bit-identical to model forward")
+        return self._boundaries[index]
 
-    def forward(self) -> Tensor:
-        """One faulted forward: cached prefix + live suffix.
+    def forward(self, start: int) -> Tensor:
+        """One faulted forward from the golden activation entering ``steps[start]``.
 
-        Call with the fault configuration already applied (the suffix reads
-        the live parameter arrays) and under the campaign's ``no_grad`` /
-        hazard-guard context, exactly like ``model(x)`` on the standard
-        path.
+        Call with the fault configuration applied and under the campaign's
+        ``no_grad`` / hazard-guard context, like ``model(x)`` on the
+        standard path; bit-identical to it when no fault lives below
+        ``start`` (the suffix runs the same ops on a bit-identical input).
         """
         with obs.phase("prefix.reuse"):
-            activation = self.prefix_activation()
-        return run_chain(self._steps, activation, start=self.cut)
+            activation = self.entering(start)
+        return run_chain(self.steps, activation, start=start)
+
+
+#: former name of the golden-prefix forward, kept importable because the
+#: perfbench span tracer wraps ``PrefixCachedForward.forward``
+PrefixCachedForward = GoldenForward

@@ -1,12 +1,16 @@
 """Clean-prefix activation caching: chain decomposition and bit-identity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.core.prefix import PrefixCachedForward, forward_chain, owning_step, run_chain
+from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
+from repro.core.prefix import GoldenForward, forward_chain, owning_step, prefix_cut, run_chain
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec, apply_configuration
 from repro.faults.targets import resolve_parameter_targets
-from repro.nn import LeNet, MLP
+from repro.nn import LeNet, MLP, Sequential
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -59,18 +63,24 @@ class TestForwardChain:
         assert owning_step(steps, "nonexistent.weight") is None
 
 
-class TestPrefixCachedForward:
+def golden_cut(model, x, targets):
+    """Shared golden forward plus the cut a campaign on ``targets`` starts at."""
+    golden = GoldenForward(model, x)
+    return golden, prefix_cut(golden.steps, [name for name, _ in targets])
+
+
+class TestGoldenForward:
     @pytest.mark.parametrize("layer", ["layers.2"])
     @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
     def test_mlp_faulted_forward_bit_identical(self, trained_mlp, moons_eval, layer, p, rng):
         x = Tensor(moons_eval[0])
         targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer(layer))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        assert cached.engaged
+        cached, cut = golden_cut(trained_mlp, x, targets)
+        assert cached.engaged and cut > 0
         for _ in range(5):
             configuration = FaultConfiguration.sample(targets, BernoulliBitFlipModel(p), rng)
             with apply_configuration(trained_mlp, configuration), no_grad(), np.errstate(all="ignore"):
-                fast = cached.forward()
+                fast = cached.forward(cut)
                 standard = trained_mlp(x)
             assert np.array_equal(logits_bits(fast), logits_bits(standard))
 
@@ -78,12 +88,12 @@ class TestPrefixCachedForward:
     def test_resnet_faulted_forward_bit_identical(self, tiny_resnet, tiny_images, layer, rng):
         x = Tensor(tiny_images[0])
         targets = resolve_parameter_targets(tiny_resnet, TargetSpec.single_layer(layer))
-        cached = PrefixCachedForward(tiny_resnet, x, [name for name, _ in targets])
-        assert cached.engaged
+        cached, cut = golden_cut(tiny_resnet, x, targets)
+        assert cached.engaged and cut > 0
         for p in (1e-3, 0.5):
             configuration = FaultConfiguration.sample(targets, BernoulliBitFlipModel(p), rng)
             with apply_configuration(tiny_resnet, configuration), no_grad(), np.errstate(all="ignore"):
-                fast = cached.forward()
+                fast = cached.forward(cut)
                 standard = tiny_resnet(x)
             assert np.array_equal(logits_bits(fast), logits_bits(standard))
 
@@ -91,14 +101,10 @@ class TestPrefixCachedForward:
         # MLP: only the synthetic flatten precedes layers.0 — nothing to cache
         x = Tensor(moons_eval[0])
         targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.0"))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        assert not cached.engaged
+        assert golden_cut(trained_mlp, x, targets)[1] == 0
         # ResNet: the stem conv is the very first chain step (cut = 0)
         targets = resolve_parameter_targets(tiny_resnet, TargetSpec.single_layer("stem.0"))
-        cached = PrefixCachedForward(
-            tiny_resnet, Tensor(tiny_images[0]), [name for name, _ in targets]
-        )
-        assert not cached.engaged
+        assert golden_cut(tiny_resnet, Tensor(tiny_images[0]), targets)[1] == 0
 
     def test_unsupported_model_disengages(self, moons_eval):
         class Custom(Module):
@@ -110,15 +116,51 @@ class TestPrefixCachedForward:
                 return self.inner(x)
 
         model = Custom().eval()
-        cached = PrefixCachedForward(model, Tensor(moons_eval[0]), ["inner.layers.0.weight"])
-        assert not cached.engaged
+        golden = GoldenForward(model, Tensor(moons_eval[0]))
+        assert not golden.engaged
+        assert prefix_cut(golden.steps, ["inner.layers.0.weight"]) == 0
 
-    def test_prefix_activation_computed_once(self, trained_mlp, moons_eval):
+    def test_boundaries_computed_once(self, trained_mlp, moons_eval):
         x = Tensor(moons_eval[0])
         targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.2"))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        first = cached.prefix_activation()
-        assert cached.prefix_activation() is first
+        cached, cut = golden_cut(trained_mlp, x, targets)
+        first = cached.entering(cut)
+        assert cached.entering(cut) is first
+        # the boundary after the last step is the verified golden logits
+        assert np.array_equal(
+            logits_bits(cached.entering(len(cached.steps))), logits_bits(cached.logits)
+        )
+
+    def test_failed_verification_is_cached(self, trained_mlp, moons_eval):
+        """A chain that does not reproduce forward() is checked once and never used."""
+
+        class Scaled(Sequential):
+            def forward(self, x):
+                return super().forward(x) * 2.0
+
+        model = Scaled(*trained_mlp.layers._modules.values()).eval()
+        golden = GoldenForward(model, Tensor(moons_eval[0]))
+        assert golden.steps is not None
+        calls = []
+        first = golden.steps[0].module
+        original = first.forward
+        first.forward = lambda x: calls.append(1) or original(x)
+        try:
+            assert not golden.engaged
+            assert not golden.engaged
+        finally:
+            del first.forward
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="not bit-identical"):
+            golden.entering(1)
+        injector = BayesianFaultInjector(
+            model, *moons_eval, spec=TargetSpec.single_layer("2"), seed=0
+        )
+        with pytest.raises(ValueError, match="forward chain is not bit-identical"):
+            BatchedNetworkEvaluator(injector)
+        # auto-selection falls back to the standard path
+        assert injector._prefix_forward() is None
+        assert injector._batched_evaluator() is None
 
 
 class TestChainEdgeCases:
@@ -137,8 +179,6 @@ class TestChainEdgeCases:
     def test_first_segment_fault_runs_with_zero_reuse(self, trained_mlp, moons_eval, rng):
         """A fault in the first real segment leaves nothing to cache, but the
         delta chain path must still run (from the golden input) bit-identically."""
-        from repro.core import BayesianFaultInjector
-
         eval_x, eval_y = moons_eval
         spec = TargetSpec.single_layer("layers.0")
         slow = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8, fast=False)
@@ -161,24 +201,19 @@ class TestChainEdgeCases:
         x1 = Tensor(eval_x)
         x2 = Tensor(eval_x[::-1].copy())
         targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.2"))
-        names = [name for name, _ in targets]
-        cached1 = PrefixCachedForward(trained_mlp, x1, names)
-        cached2 = PrefixCachedForward(trained_mlp, x2, names)
+        cached1, cut = golden_cut(trained_mlp, x1, targets)
+        cached2, _ = golden_cut(trained_mlp, x2, targets)
         assert cached1.engaged and cached2.engaged
-        assert not np.array_equal(
-            cached1.prefix_activation().data, cached2.prefix_activation().data
-        )
+        assert not np.array_equal(cached1.entering(cut).data, cached2.entering(cut).data)
         # Each instance reproduces the golden forward of *its own* batch
         with no_grad():
             for cached, x in ((cached1, x1), (cached2, x2)):
                 assert np.array_equal(
-                    logits_bits(cached.forward()), logits_bits(trained_mlp(x))
+                    logits_bits(cached.forward(cut)), logits_bits(trained_mlp(x))
                 )
 
     def test_batched_evaluator_prefix_tracks_injector_batch(self, trained_mlp, moons_eval):
         """Two injectors over different batches never share prefix activations."""
-        from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
-
         eval_x, eval_y = moons_eval
         spec = TargetSpec.single_layer("layers.2")
         inj1 = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8)
@@ -194,3 +229,26 @@ class TestChainEdgeCases:
         assert np.array_equal(ev1.evaluate_logits(empty)[0], golden1)
         assert np.array_equal(ev2.evaluate_logits(empty)[0], golden2)
         assert not np.array_equal(golden1, golden2)
+
+
+class TestInjectorLifetime:
+    def test_fast_path_injector_freed_without_cycle_collector(self, tiny_resnet, tiny_images):
+        """No injector ↔ engine reference cycle: refcounting alone frees it."""
+        x, y = tiny_images
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            injector = BayesianFaultInjector(
+                tiny_resnet, x, y, spec=TargetSpec.single_layer("stages.3.1.conv2"), seed=4
+            )
+            injector.forward_campaign(1e-3, samples=4, chains=2)
+            injector.mcmc_campaign(1e-3, chains=2, steps=4)
+            assert injector._fast_evaluator is not None  # the fast path was taken
+            injector_ref = weakref.ref(injector)
+            evaluator_ref = weakref.ref(injector._fast_evaluator)
+            del injector
+            assert injector_ref() is None
+            assert evaluator_ref() is None
+        finally:
+            if enabled:
+                gc.enable()

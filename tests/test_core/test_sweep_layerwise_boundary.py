@@ -1,5 +1,7 @@
 """Experiment drivers: sweeps (Figs. 2/4), layerwise (Fig. 3), boundary (Fig. 1③)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,109 @@ class TestLayerwise:
         eval_x, eval_y = moons_eval
         with pytest.raises(ValueError):
             LayerwiseCampaign(trained_mlp, eval_x, eval_y, p=0.0)
+
+
+#: digest counters that do not depend on which engine scored a campaign
+ENGINE_FREE = (
+    "evaluations", "flips.applied", "proposal.steps", "proposal.accepted",
+    "hazard.rows", "hazard.hazard_rows",
+)
+
+
+@contextlib.contextmanager
+def golden_forward_counter(model):
+    """Count top-level ``model(x)`` calls made with every parameter golden."""
+    snapshot = {name: param.data.copy() for name, param in model.named_parameters()}
+    calls = []
+    original = model.forward
+
+    def counting(x):
+        if all(
+            np.array_equal(param.data.view(np.uint32), snapshot[name].view(np.uint32))
+            for name, param in model.named_parameters()
+        ):
+            calls.append(1)
+        return original(x)
+
+    model.forward = counting
+    try:
+        yield calls
+    finally:
+        del model.forward
+
+
+class TestLayerwiseSharedGolden:
+    """One golden forward per run, shared by every layer's injector and engine."""
+
+    # high enough that every configuration of the stem conv (6912 bits,
+    # reference path) flips something, so its faulted forwards never count
+    # as golden ones
+    KWARGS = dict(p=5e-3, samples=4, chains=2, seed=11)
+
+    def assert_matches_reference(self, campaign, reference):
+        assert [r.layer for r in campaign.results] == [r.layer for r in reference.results]
+        for ours, ref in zip(campaign.results, reference.results):
+            for a, b in zip(ours.campaign.chains.chains, ref.campaign.chains.chains):
+                assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+                assert np.array_equal(a.flips, b.flips)
+            assert ours.mean_error == ref.mean_error
+            counters, ref_counters = ours.campaign.metrics["counters"], ref.campaign.metrics["counters"]
+            for name in ENGINE_FREE:
+                assert counters.get(name) == ref_counters.get(name), (ours.layer, name)
+
+    def test_every_layer_matches_reference_with_one_golden_forward(self, tiny_resnet, tiny_images):
+        x, y = tiny_images
+        reference = LayerwiseCampaign(tiny_resnet, x, y, fast=False, **self.KWARGS).run()
+        with golden_forward_counter(tiny_resnet) as golden_calls:
+            campaign = LayerwiseCampaign(tiny_resnet, x, y, **self.KWARGS).run()
+        assert len(campaign.results) == len(parameterised_layers(tiny_resnet))
+        assert len(golden_calls) == 1
+        self.assert_matches_reference(campaign, reference)
+        # the engines really served the deep layers
+        assert sum(
+            r.campaign.metrics["counters"]["engine.batched.configs"] for r in campaign.results
+        ) > 0
+
+    def test_journal_resumed_run_with_leading_hits(self, tmp_path, tiny_resnet, tiny_images):
+        from repro.exec import CampaignJournal
+
+        x, y = tiny_images
+        layers = tuple(parameterised_layers(tiny_resnet))
+        reference = LayerwiseCampaign(tiny_resnet, x, y, fast=False, **self.KWARGS).run()
+        path = str(tmp_path / "layers.jsonl")
+        journal = CampaignJournal(path)
+        LayerwiseCampaign(tiny_resnet, x, y, layers=layers[:3], journal=journal, **self.KWARGS).run()
+        journal.close()
+        with golden_forward_counter(tiny_resnet) as golden_calls:
+            resumed = LayerwiseCampaign(
+                tiny_resnet, x, y, journal=CampaignJournal.resume(path), **self.KWARGS
+            ).run()
+        assert len(golden_calls) <= 1
+        self.assert_matches_reference(resumed, reference)
+
+    def test_retarget_equals_fresh_injector(self, tiny_resnet, tiny_images):
+        x, y = tiny_images
+        root = BayesianFaultInjector(
+            tiny_resnet, x, y, spec=TargetSpec.single_layer("stages.0.0.conv1"), seed=3
+        )
+        spec = TargetSpec.single_layer("stages.3.1.conv2")
+        derived = root.retarget(spec, 7)
+        fresh = BayesianFaultInjector(tiny_resnet, x, y, spec=spec, seed=7)
+        assert derived._golden is root._golden
+        assert derived.golden_error == fresh.golden_error
+        assert [name for name, _ in derived.parameter_targets] == [
+            name for name, _ in fresh.parameter_targets
+        ]
+        for run in (
+            lambda inj: inj.forward_campaign(1e-3, samples=4, chains=2),
+            lambda inj: inj.mcmc_campaign(1e-3, chains=2, steps=4),
+        ):
+            a, b = run(derived), run(fresh)
+            for ca, cb in zip(a.chains.chains, b.chains.chains):
+                assert np.array_equal(ca.values, cb.values)
+            assert a.metrics["counters"] == b.metrics["counters"]
+        # the root keeps its own targets
+        assert all(name.startswith("stages.0.0.conv1.") for name, _ in root.parameter_targets)
 
 
 class TestBoundary:
