@@ -58,18 +58,19 @@ def test_batched_campaign_throughput(benchmark, golden_mlp_moons, moons_eval_bat
     """Vectorised 200-configuration campaign (vs one-at-a-time in
     test_faulted_forward_pass_mlp × 200)."""
     from repro.core import BatchedNetworkEvaluator
+    from repro.core.delta import DeltaChainEvaluator
 
     eval_x, eval_y = moons_eval_batch
     injector = BayesianFaultInjector(
         golden_mlp_moons, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=0
     )
-    evaluator = BatchedNetworkEvaluator(injector)
+    engine = DeltaChainEvaluator(injector, BatchedNetworkEvaluator(injector))
     model = BernoulliBitFlipModel(1e-3)
     rng = np.random.default_rng(8)
     configurations = [
         FaultConfiguration.sample(injector.parameter_targets, model, rng) for _ in range(200)
     ]
-    benchmark(lambda: evaluator.evaluate(configurations))
+    benchmark(lambda: engine.score(configurations))
 
 
 def test_conv2d_forward(benchmark):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as obs
-from repro.core.hazard import HazardReport
 from repro.core.prefix import owning_step
 from repro.faults.configuration import FaultConfiguration
 from repro.nn.containers import Sequential
@@ -111,8 +110,6 @@ class BatchedNetworkEvaluator:
         self.labels = injector.labels
         #: configurations scored through :meth:`run_segments`, ever
         self.configs_scored = 0
-        #: hazard accounting of the most recent :meth:`evaluate` call
-        self.last_hazard = HazardReport()
 
     def _check_touched_modules(self, module: Module, name: str, target: str) -> None:
         """Ensure the leaf module owning ``target`` has a batched handler."""
@@ -193,26 +190,6 @@ class BatchedNetworkEvaluator:
                 if boundaries is not None:
                     boundaries.append(state)
         return state
-
-    def evaluate(self, configurations: list[FaultConfiguration]) -> np.ndarray:
-        """Classification error per configuration, shape ``(k,)``.
-
-        Same hazard taxonomy as ``NumericalHazardGuard.score``: any row with
-        a non-finite logit counts as an error deterministically, and the
-        call's accounting is left in :attr:`last_hazard`.
-        """
-        logits = self.evaluate_logits(configurations)
-        finite = np.isfinite(logits).all(axis=2)
-        predictions = logits.argmax(axis=2)
-        hazard_rows = (~finite).sum(axis=1)
-        self.last_hazard = HazardReport(
-            evaluations=len(configurations),
-            hazard_evaluations=int((hazard_rows > 0).sum()),
-            rows=int(finite.size),
-            hazard_rows=int(hazard_rows.sum()),
-        )
-        wrong = ((predictions != self.labels[None, :]) & finite).sum(axis=1)
-        return (wrong + hazard_rows) / logits.shape[1]
 
     def _prefix_activation(self) -> np.ndarray:
         """Shared golden activation entering the first faulted step."""

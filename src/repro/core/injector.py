@@ -63,7 +63,7 @@ from repro.faults.targets import (
     resolve_parameter_targets,
 )
 from repro.mcmc.chain import Chain, ChainSet
-from repro.mcmc.forward import PROGRESS_EVERY, ForwardSampler
+from repro.mcmc.forward import ForwardSampler
 from repro.mcmc.metropolis import MetropolisHastingsSampler
 from repro.mcmc.mixing import CompletenessCriterion
 from repro.mcmc.proposals import BlockResample, MixtureProposal, SingleBitToggle
@@ -73,7 +73,7 @@ from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.metrics import classification_error
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngFactory, spawn_generators
+from repro.utils.rng import RngFactory
 from repro.utils.timing import Timer
 
 __all__ = ["BayesianFaultInjector"]
@@ -83,10 +83,6 @@ _LOGGER = get_logger("core")
 #: sign/exponent/mantissa names and masks, for the per-flip field taxonomy
 _FIELDS = ("sign", "exponent", "mantissa")
 _FIELD_MASKS = np.array([field_mask(field) for field in _FIELDS], dtype=np.uint32)[:, None]
-
-#: configurations evaluated per batched sweep on the fast forward path —
-#: bounds the (chunk, batch, channels, H, W) float64 intermediates
-_FAST_CHUNK = 8
 
 #: sentinel for lazily constructed fast-path machinery
 _UNSET = object()
@@ -289,36 +285,20 @@ class BayesianFaultInjector:
             )
         return self._batched_evaluator() if self._batch_forwards else None
 
-    def _chain_engine(self, spec_fast: bool | None):
-        """Delta engine for one chain campaign, honouring the spec override.
+    def _chain_engine(self) -> DeltaChainEvaluator | None:
+        """Fast engine for a chain campaign, or ``None`` for the reference statistic."""
+        return self._engine(self._batched_evaluator())
 
-        ``spec_fast`` wins over the injector-level ``fast`` knob when set:
-        ``False`` forces the standard per-proposal path, ``True`` requires
-        the delta engine (raising when unavailable), ``None`` inherits the
-        injector default (auto-engage when supported).
+    def _forward_engine(self) -> DeltaChainEvaluator | None:
+        """Fast engine for i.i.d. draws (forward, adaptive, stratified), or ``None``.
+
+        Follows the forward routing rule of :meth:`_forward_evaluator`.
         """
-        effective = self.fast if spec_fast is None else spec_fast
-        if effective is False:
-            return None
-        if not self._parameter_only():
-            if effective is True:
-                raise ValueError(
-                    "fast=True requires parameter-only fault surfaces; transient "
-                    "(activation/input) injection redraws faults per forward pass "
-                    "and cannot reuse cached activations"
-                )
-            return None
-        evaluator = self._batched_evaluator()
-        if evaluator is None:
-            if effective is True:
-                raise ValueError(
-                    "fast=True but delta-forward chain evaluation is unavailable "
-                    "(the model does not decompose into a verified forward chain, "
-                    "or the injector was built with fast=False)"
-                )
-            return None
+        return self._engine(self._forward_evaluator())
+
+    def _engine(self, evaluator: BatchedNetworkEvaluator | None) -> DeltaChainEvaluator | None:
         # per campaign: the engine points back here, so caching it would form a cycle
-        return DeltaChainEvaluator(self, evaluator)
+        return None if evaluator is None else DeltaChainEvaluator(self, evaluator)
 
     def make_statistic(
         self,
@@ -500,14 +480,11 @@ class BayesianFaultInjector:
         discard_fraction: float = 0.25,
         criterion: CompletenessCriterion | None = None,
         stream: str = "mcmc",
-        fast: bool | None = None,
     ) -> CampaignResult:
         """Multi-chain Metropolis–Hastings targeting the fault prior.
 
         The proposal mixes single-bit toggles (local) with block prior
         resampling (global); weights tune the mixing-speed experiments.
-        ``fast`` overrides the injector's delta-forward knob for this
-        campaign (results are bit-identical either way).
         """
         return self.run(
             McmcSpec(
@@ -520,7 +497,6 @@ class BayesianFaultInjector:
                 discard_fraction=discard_fraction,
                 criterion=criterion,
                 stream=stream,
-                fast=fast,
             )
         )
 
@@ -533,7 +509,6 @@ class BayesianFaultInjector:
         fault_model: FaultModel | None = None,
         discard_fraction: float = 0.25,
         stream: str = "tempered",
-        fast: bool | None = None,
     ) -> tuple[CampaignResult, float]:
         """Failure-biased MCMC; returns (campaign, importance-weighted error).
 
@@ -550,7 +525,6 @@ class BayesianFaultInjector:
                 fault_model=fault_model,
                 discard_fraction=discard_fraction,
                 stream=stream,
-                fast=fast,
             )
         )
 
@@ -563,7 +537,6 @@ class BayesianFaultInjector:
         fault_model: FaultModel | None = None,
         discard_fraction: float = 0.25,
         stream: str = "tempering",
-        fast: bool | None = None,
     ) -> CampaignResult:
         """Replica-exchange campaign; the cold rung samples the fault prior.
 
@@ -581,7 +554,6 @@ class BayesianFaultInjector:
                 fault_model=fault_model,
                 discard_fraction=discard_fraction,
                 stream=stream,
-                fast=fast,
             )
         )
 
@@ -620,72 +592,21 @@ class BayesianFaultInjector:
     def _execute_forward(self, spec: ForwardSpec) -> CampaignResult:
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        evaluator = self._forward_evaluator()
-        if evaluator is not None:
-            return self._execute_forward_fast(spec, model, evaluator)
-        rng = self._rng_factory.stream(f"{stream}:p={p!r}")
-        sampler = ForwardSampler(
-            self.parameter_targets or self._pseudo_targets(),
-            model,
-            self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}")),
-        )
+        sampler = self._forward_sampler(model, f"{stream}:transient:p={p!r}")
         steps = max(1, spec.samples // spec.chains)
-        chain_set = sampler.run(chains=spec.chains, steps=steps, rng=rng)
+        chain_set = sampler.run(
+            chains=spec.chains, steps=steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
+        )
         return self._package(p, chain_set, "forward", discard_fraction=0.0)
 
-    def _execute_forward_fast(
-        self, spec: ForwardSpec, fault_model: FaultModel, evaluator: BatchedNetworkEvaluator
-    ) -> CampaignResult:
-        """i.i.d. forward campaign on the batched fast path.
-
-        Bit-identical to the standard :class:`ForwardSampler` executor: the
-        same stream splits into the same per-chain generators, each chain
-        draws the same configurations in the same order (the parameter-only
-        statistic consumes no randomness during evaluation), and the batched
-        logits are bit-identical to the sequential faulted forwards — so the
-        recorded chains, posterior, and digest all match exactly. Only the
-        evaluation order changes: configurations are scored ``_FAST_CHUNK``
-        at a time through one stacked sweep.
-        """
-        p, stream = spec.p, spec.stream
-        if spec.chains <= 0:
-            raise ValueError(f"chains must be positive, got {spec.chains}")
-        rng = self._rng_factory.stream(f"{stream}:p={p!r}")
-        generators = spawn_generators(rng, spec.chains)
-        steps = max(1, spec.samples // spec.chains)
-        guard = self._active_guard or NumericalHazardGuard()
-        chains = []
-        for chain_id, generator in enumerate(generators):
-            chain = Chain(chain_id)
-            with obs.span("chain.forward", chain_id=chain_id, steps=steps):
-                configurations = [
-                    FaultConfiguration.sample(self.parameter_targets, fault_model, generator)
-                    for _ in range(steps)
-                ]
-                done = 0
-                for start in range(0, steps, _FAST_CHUNK):
-                    chunk = configurations[start : start + _FAST_CHUNK]
-                    if self._active_metrics is not None:
-                        for configuration in chunk:
-                            _record_configuration(self._active_metrics, configuration)
-                    with obs.phase("forward.eval"):
-                        logits = evaluator.evaluate_logits(chunk, guard=guard)
-                    for configuration, row in zip(chunk, logits):
-                        value = guard.score(row, self.labels)
-                        chain.record(value, configuration.total_flips(), accepted=True)
-                        done += 1
-                        if obs.progress() is not None and done % PROGRESS_EVERY == 0:
-                            window = chain.recent(PROGRESS_EVERY)
-                            obs.publish(
-                                "chain.progress",
-                                sampler="forward",
-                                chain_id=chain_id,
-                                step=done,
-                                steps=steps,
-                                window_mean=float(window.mean()),
-                            )
-            chains.append(chain)
-        return self._package(p, ChainSet(chains), "forward", discard_fraction=0.0)
+    def _forward_sampler(self, fault_model: FaultModel, transient_stream: str) -> ForwardSampler:
+        """i.i.d. sampler on the engine the forward routing rule selects."""
+        return ForwardSampler(
+            self.parameter_targets or self._pseudo_targets(),
+            fault_model,
+            self.make_statistic(fault_model, self._rng_factory.stream(transient_stream)),
+            engine=self._forward_engine(),
+        )
 
     def _execute_mcmc(self, spec: McmcSpec) -> CampaignResult:
         if not self._wants_parameters:
@@ -699,7 +620,7 @@ class BayesianFaultInjector:
             proposal,
             statistic,
             initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=self._chain_engine(spec.fast),
+            engine=self._chain_engine(),
         )
         chain_set = sampler.run(
             chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -726,7 +647,7 @@ class BayesianFaultInjector:
             proposal,
             statistic,
             initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=self._chain_engine(spec.fast),
+            engine=self._chain_engine(),
         )
         chain_set = sampler.run(
             chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -755,7 +676,7 @@ class BayesianFaultInjector:
             statistic,
             proposal=self._make_proposal(model, toggle_weight=0.8, resample_weight=0.2),
             betas=spec.betas,
-            engine=self._chain_engine(spec.fast),
+            engine=self._chain_engine(),
         )
         result = sampler.run(
             chains=spec.chains, sweeps=spec.sweeps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -775,8 +696,7 @@ class BayesianFaultInjector:
         criterion = spec.criterion or CompletenessCriterion()
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"))
-        sampler = ForwardSampler(self.parameter_targets or self._pseudo_targets(), model, statistic)
+        sampler = self._forward_sampler(model, f"{stream}:transient:p={p!r}")
         generators = [
             self._rng_factory.stream(f"{stream}:p={p!r}:chain={i}") for i in range(spec.chains)
         ]

@@ -13,6 +13,7 @@ induced error — the quantitative version of F3 (|ρ| near 0, p-value large).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,8 +72,10 @@ class LayerwiseCampaign:
     executor:
         Optional :class:`~repro.exec.executor.ParallelCampaignExecutor`;
         layers fan out over its worker pool (one recipe per layer, each
-        with the layer's target spec and derived seed). Per-layer seeds
-        make parallel results bit-identical to sequential ones.
+        with the layer's target spec and derived seed, all sharing one
+        checkpoint, so each worker builds one injector and retargets it).
+        Per-layer seeds make parallel results bit-identical to sequential
+        ones.
     model_builder:
         Picklable zero-argument architecture builder used to ship the
         golden model to workers as builder + checkpoint; without it the
@@ -124,17 +127,17 @@ class LayerwiseCampaign:
         if self.executor is not None:
             if self.journal is not None:
                 self.executor.journal = self.journal
+            # one checkpoint copy; per-layer recipes share it, so a warm
+            # worker retargets its injector instead of rebuilding it
+            base = InjectorRecipe.from_model(
+                self.model, self.inputs, self.labels, seed=self.seed,
+                model_builder=self.model_builder, fast=self.fast,
+            )
             tasks = [
                 CampaignTask(
                     spec,
-                    InjectorRecipe.from_model(
-                        self.model,
-                        self.inputs,
-                        self.labels,
-                        spec=self._layer_spec(layer),
-                        seed=self.seed + depth,
-                        model_builder=self.model_builder,
-                        fast=self.fast,
+                    dataclasses.replace(
+                        base, target_spec=self._layer_spec(layer), seed=self.seed + depth
                     ),
                 )
                 for depth, layer in enumerate(self.layers)

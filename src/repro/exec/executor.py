@@ -107,8 +107,8 @@ class InjectorRecipe:
       under spawn-started pools.
 
     Recipes are immutable and reusable: one recipe can back every task of a
-    sweep, while layerwise campaigns build one recipe per layer (different
-    target spec and seed).
+    sweep, while layerwise campaigns derive one recipe per layer (different
+    target spec and seed) from one base recipe.
     """
 
     inputs: np.ndarray
@@ -336,22 +336,34 @@ class _WarmInjector:
     """Build once, run spec: keeps the injector of the last recipe it ran.
 
     Consecutive tasks on the same recipe object (every point of a sweep)
-    reuse one injector; a different recipe (the next layer of a layerwise
-    campaign) replaces it, so at most one injector is alive at a time.
+    reuse one injector. A recipe that differs only in target spec and seed
+    (the next layer of a layerwise campaign) gets the held injector
+    retargeted, keeping its golden forward; any other recipe replaces it,
+    so at most one injector is alive at a time.
     """
+
+    #: recipe fields compared by identity to decide that a retarget suffices
+    _SHARED = ("model", "model_builder", "state", "inputs", "labels")
 
     def __init__(self) -> None:
         self.recipe: InjectorRecipe | None = None
         self.injector = None
-        #: injectors built so far
+        #: injectors built so far (retargets are not builds)
         self.builds = 0
 
     def run(self, task: CampaignTask):
-        if task.recipe is not self.recipe:
-            self.recipe = self.injector = None  # release the old one before building
-            self.injector = task.recipe.build()
-            self.recipe = task.recipe
-            self.builds += 1
+        recipe = task.recipe
+        if recipe is not self.recipe:
+            held = self.recipe
+            if held is not None and held.fast == recipe.fast and all(
+                getattr(held, name) is getattr(recipe, name) for name in self._SHARED
+            ):
+                self.injector = self.injector.retarget(recipe.target_spec, recipe.seed)
+            else:
+                self.recipe = self.injector = None  # release the old one before building
+                self.injector = recipe.build()
+                self.builds += 1
+            self.recipe = recipe
         return self.injector.run(task.spec)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import repro.obs as obs
 from repro.faults.configuration import FaultConfiguration
 from repro.mcmc.chain import Chain, ChainSet
+from repro.mcmc.engine import StatisticEngine
 from repro.mcmc.forward import PROGRESS_EVERY
 from repro.utils.rng import spawn_generators
 
@@ -44,11 +45,12 @@ class MetropolisHastingsSampler:
         state (typically the fault prior, giving an overdispersed start for
         R̂ to be meaningful).
     engine:
-        Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
-        :meth:`run` steps every chain in lockstep and scores each round of
-        proposals through one grouped delta forward instead of calling
-        ``statistic`` per candidate — bit-identical to the sequential path
-        (property-tested), order-of-magnitude faster on deep models.
+        Scoring engine (:mod:`repro.mcmc.engine`). ``None`` scores through
+        ``statistic`` (:class:`~repro.mcmc.engine.StatisticEngine`); a
+        :class:`~repro.core.delta.DeltaChainEvaluator` steps every chain in
+        lockstep and scores each round of proposals through one grouped
+        delta forward — bit-identical (property-tested), order-of-magnitude
+        faster on deep models.
     """
 
     def __init__(
@@ -66,34 +68,64 @@ class MetropolisHastingsSampler:
         self.engine = engine
 
     def run_chain(self, steps: int, rng: np.random.Generator, chain_id: int = 0) -> Chain:
+        """One chain of ``steps`` MH steps drawing from ``rng``."""
+        return self._run(steps, [rng], chain_id)[0]
+
+    def run(self, chains: int, steps: int, rng) -> ChainSet:
+        """Run ``chains`` independent chains from overdispersed starts."""
+        if chains <= 0:
+            raise ValueError(f"chains must be positive, got {chains}")
+        return ChainSet(self._run(steps, spawn_generators(rng, chains)))
+
+    def _run(self, steps: int, generators: list, first_id: int = 0) -> list[Chain]:
+        """Advance one chain per generator, a lockstep group at a time.
+
+        Every chain draws from its own generator in the same order however
+        chains are grouped (initial draw, then per step the proposal and
+        the conditional accept draw), so grouping changes no value. Under
+        the delta engine all chains form one group and each round of
+        proposals is one grouped forward; under the reference engine each
+        chain is its own group (see :class:`StatisticEngine`).
+        """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
-        state = self.initial(rng)
-        state_stat = self.statistic(state)
-        state_logd = self._log_density(state, state_stat)
-
-        chain = Chain(chain_id)
-        with obs.span("chain.mcmc", chain_id=chain_id, steps=steps):
-            for step in range(steps):
-                candidate, log_hastings = self.proposal.propose(state, rng)
-                candidate_stat = self.statistic(candidate)
-                candidate_logd = self._log_density(candidate, candidate_stat)
-                log_alpha = candidate_logd - state_logd + log_hastings
-                accepted = math.log(rng.random()) < log_alpha if log_alpha < 0 else True
-                if accepted:
-                    state, state_stat, state_logd = candidate, candidate_stat, candidate_logd
-                chain.record(state_stat, state.total_flips(), accepted=accepted)
-                if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
-                    obs.publish(
-                        "chain.progress",
-                        sampler="mcmc",
-                        chain_id=chain_id,
-                        step=step + 1,
-                        steps=steps,
-                        window_mean=float(chain.recent(PROGRESS_EVERY).mean()),
-                        window_acceptance=chain.recent_acceptance(PROGRESS_EVERY),
-                    )
-        return chain
+        engine = self.engine or StatisticEngine(self.statistic)
+        width = len(generators) if engine.lockstep else 1
+        done: list[Chain] = []
+        for first in range(0, len(generators), width):
+            group = generators[first : first + width]
+            sessions = [engine.session() for _ in group]
+            states = [self.initial(g) for g in group]
+            stats = engine.evaluate_round(sessions, states)
+            for session in sessions:
+                session.commit()
+            logds = [self._log_density(s, v) for s, v in zip(states, stats)]
+            chains = [Chain(first_id + first + i) for i in range(len(group))]
+            with obs.span("chain.mcmc", chain_id=chains[0].chain_id, chains=len(group), steps=steps):
+                for step in range(steps):
+                    proposals = [self.proposal.propose(s, g) for s, g in zip(states, group)]
+                    cand_stats = engine.evaluate_round(sessions, [c for c, _ in proposals])
+                    for i, (candidate, log_hastings) in enumerate(proposals):
+                        candidate_logd = self._log_density(candidate, cand_stats[i])
+                        log_alpha = candidate_logd - logds[i] + log_hastings
+                        accepted = math.log(group[i].random()) < log_alpha if log_alpha < 0 else True
+                        if accepted:
+                            states[i], stats[i], logds[i] = candidate, cand_stats[i], candidate_logd
+                            sessions[i].commit()
+                        chains[i].record(stats[i], states[i].total_flips(), accepted=accepted)
+                    if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
+                        for chain in chains:
+                            obs.publish(
+                                "chain.progress",
+                                sampler="mcmc",
+                                chain_id=chain.chain_id,
+                                step=step + 1,
+                                steps=steps,
+                                window_mean=float(chain.recent(PROGRESS_EVERY).mean()),
+                                window_acceptance=chain.recent_acceptance(PROGRESS_EVERY),
+                            )
+            done += chains
+        return done
 
     def _log_density(self, configuration: FaultConfiguration, statistic_value: float) -> float:
         """Evaluate the target density, reusing the known statistic if tempered.
@@ -117,65 +149,3 @@ class MetropolisHastingsSampler:
             if prime is not None:
                 prime(configuration, statistic_value)
         return self.target.log_density(configuration)
-
-    def run(self, chains: int, steps: int, rng) -> ChainSet:
-        """Run ``chains`` independent chains from overdispersed starts.
-
-        With a delta engine attached the chains advance in lockstep (one
-        grouped forward per proposal round); results are bit-identical to
-        the sequential path either way.
-        """
-        if chains <= 0:
-            raise ValueError(f"chains must be positive, got {chains}")
-        if self.engine is not None:
-            return self._run_lockstep(chains, steps, rng)
-        generators = spawn_generators(rng, chains)
-        return ChainSet([self.run_chain(steps, g, chain_id=i) for i, g in enumerate(generators)])
-
-    def _run_lockstep(self, chains: int, steps: int, rng) -> ChainSet:
-        """All chains in lockstep; one grouped delta forward per round.
-
-        Bit-identity with the sequential path holds because every chain
-        draws from its own spawned generator in the same per-chain order
-        (initial draw, then propose / conditional accept draw per step —
-        the parameter-only statistic consumes no randomness), the engine's
-        scored statistics are bit-identical to the standard statistic, and
-        the acceptance arithmetic is expression-for-expression the same.
-        """
-        if steps <= 0:
-            raise ValueError(f"steps must be positive, got {steps}")
-        engine = self.engine
-        generators = spawn_generators(rng, chains)
-        sessions = [engine.session() for _ in range(chains)]
-        states = [self.initial(g) for g in generators]
-        stats = engine.evaluate_round(sessions, states)
-        for session in sessions:
-            session.commit()
-        logds = [self._log_density(s, v) for s, v in zip(states, stats)]
-        chain_objs = [Chain(i) for i in range(chains)]
-        with obs.span("chain.mcmc", chains=chains, steps=steps, lockstep=True):
-            for step in range(steps):
-                proposals = [self.proposal.propose(states[i], generators[i]) for i in range(chains)]
-                candidates = [candidate for candidate, _ in proposals]
-                cand_stats = engine.evaluate_round(sessions, candidates)
-                for i in range(chains):
-                    candidate, log_hastings = proposals[i]
-                    candidate_logd = self._log_density(candidate, cand_stats[i])
-                    log_alpha = candidate_logd - logds[i] + log_hastings
-                    accepted = math.log(generators[i].random()) < log_alpha if log_alpha < 0 else True
-                    if accepted:
-                        states[i], stats[i], logds[i] = candidate, cand_stats[i], candidate_logd
-                        sessions[i].commit()
-                    chain_objs[i].record(stats[i], states[i].total_flips(), accepted=accepted)
-                if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
-                    for chain in chain_objs:
-                        obs.publish(
-                            "chain.progress",
-                            sampler="mcmc",
-                            chain_id=chain.chain_id,
-                            step=step + 1,
-                            steps=steps,
-                            window_mean=float(chain.recent(PROGRESS_EVERY).mean()),
-                            window_acceptance=chain.recent_acceptance(PROGRESS_EVERY),
-                        )
-        return ChainSet(chain_objs)

@@ -26,6 +26,7 @@ import numpy as np
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.model import FaultModel
 from repro.mcmc.chain import Chain, ChainSet
+from repro.mcmc.engine import StatisticEngine
 from repro.utils.rng import spawn_generators
 
 __all__ = ["TemperingResult", "ParallelTemperingSampler"]
@@ -74,12 +75,10 @@ class ParallelTemperingSampler:
         Inverse-temperature ladder; must start at 0 (the prior rung) and be
         strictly increasing.
     engine:
-        Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
-        :meth:`run` advances all replicas in lockstep and scores each
-        rung's proposals across replicas through one grouped delta forward
-        — bit-identical to the sequential path. (Rungs *within* a replica
-        stay sequential: each rung's acceptance draw conditions the
-        stream the next rung proposes from.)
+        Scoring engine (:mod:`repro.mcmc.engine`). ``None`` scores through
+        ``statistic``; a :class:`~repro.core.delta.DeltaChainEvaluator`
+        advances all replicas in lockstep and scores each rung's proposals
+        across replicas through one grouped delta forward — bit-identical.
     """
 
     def __init__(
@@ -107,176 +106,99 @@ class ParallelTemperingSampler:
         self.betas = betas
         self.engine = engine
 
-    # ------------------------------------------------------------------ #
-    # core steps
-    # ------------------------------------------------------------------ #
-
-    def _mh_step(
-        self,
-        state: FaultConfiguration,
-        stat: float,
-        log_prior: float,
-        beta: float,
-        rng: np.random.Generator,
-    ) -> tuple[FaultConfiguration, float, float, bool]:
-        candidate, log_hastings = self.proposal.propose(state, rng)
-        candidate_stat = self.statistic(candidate)
-        candidate_log_prior = candidate.log_prob(self.fault_model)
-        log_alpha = (
-            (candidate_log_prior + beta * candidate_stat)
-            - (log_prior + beta * stat)
-            + log_hastings
-        )
-        if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
-            return candidate, candidate_stat, candidate_log_prior, True
-        return state, stat, log_prior, False
-
     def run_chain(self, sweeps: int, rng: np.random.Generator, chain_id: int = 0) -> tuple[Chain, np.ndarray, int, int]:
         """One replica system: ``sweeps`` × (MH step per rung + one swap try).
 
-        Returns (cold chain, per-rung statistic sums, swap attempts, swap accepts).
+        Returns (cold chain, per-rung mean statistic, swap attempts, swap accepts).
         """
-        if sweeps <= 0:
-            raise ValueError(f"sweeps must be positive, got {sweeps}")
-        n_rungs = len(self.betas)
-        states = [FaultConfiguration.sample(self.targets, self.fault_model, rng) for _ in range(n_rungs)]
-        stats = [self.statistic(s) for s in states]
-        log_priors = [s.log_prob(self.fault_model) for s in states]
-
-        cold = Chain(chain_id)
-        rung_sums = np.zeros(n_rungs)
-        swap_attempts = 0
-        swap_accepts = 0
-        for _ in range(sweeps):
-            for rung, beta in enumerate(self.betas):
-                states[rung], stats[rung], log_priors[rung], _ = self._mh_step(
-                    states[rung], stats[rung], log_priors[rung], beta, rng
-                )
-            # One adjacent-pair swap attempt per sweep.
-            low = int(rng.integers(0, n_rungs - 1))
-            high = low + 1
-            log_alpha = (self.betas[low] - self.betas[high]) * (stats[high] - stats[low])
-            swap_attempts += 1
-            if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
-                states[low], states[high] = states[high], states[low]
-                stats[low], stats[high] = stats[high], stats[low]
-                log_priors[low], log_priors[high] = log_priors[high], log_priors[low]
-                swap_accepts += 1
-            cold.record(stats[0], states[0].total_flips())
-            rung_sums += stats
-        return cold, rung_sums / sweeps, swap_attempts, swap_accepts
+        return self._run(sweeps, [rng], chain_id)[0]
 
     def run(self, chains: int, sweeps: int, rng) -> TemperingResult:
-        """``chains`` independent replica systems with split streams.
-
-        With a delta engine attached the replicas advance in lockstep (one
-        grouped forward per rung per sweep, batched across replicas);
-        results are bit-identical to the sequential path either way.
-        """
+        """``chains`` independent replica systems with split streams."""
         if chains <= 0:
             raise ValueError(f"chains must be positive, got {chains}")
-        if self.engine is not None:
-            return self._run_lockstep(chains, sweeps, rng)
-        generators = spawn_generators(rng, chains)
-        cold_chains = []
+        replicas = self._run(sweeps, spawn_generators(rng, chains))
         rung_totals = np.zeros(len(self.betas))
         attempts = 0
         accepts = 0
-        for index, gen in enumerate(generators):
-            cold, rung_means, att, acc = self.run_chain(sweeps, gen, chain_id=index)
-            cold_chains.append(cold)
+        for _, rung_means, att, acc in replicas:
             rung_totals += rung_means
             attempts += att
             accepts += acc
         return TemperingResult(
-            cold_chains=ChainSet(cold_chains),
+            cold_chains=ChainSet([cold for cold, _, _, _ in replicas]),
             rung_means=tuple(float(v) for v in rung_totals / chains),
             betas=self.betas,
             swap_acceptance=accepts / attempts if attempts else float("nan"),
         )
 
-    def _run_lockstep(self, chains: int, sweeps: int, rng) -> TemperingResult:
-        """All replica systems in lockstep; rung proposals batched across them.
+    def _run(self, sweeps: int, generators: list, first_id: int = 0) -> list[tuple[Chain, np.ndarray, int, int]]:
+        """Advance one replica system per generator, a lockstep group at a time.
 
-        Bit-identity with :meth:`run_chain` per replica holds because each
-        replica keeps its own spawned generator and consumes it in exactly
-        the sequential order (initial rung draws; then per sweep, per rung:
-        propose + conditional accept draw; then the swap draws), the
-        engine's scored statistics are bit-identical to ``statistic``, and
-        every acceptance/aggregation expression is unchanged. Rungs within
-        a replica cannot be batched — the rung's conditional accept draw
-        shifts the stream the next rung proposes from — but the same rung
-        across replicas can, and the initial states all score in one round.
+        Each replica consumes its own generator in one order however
+        replicas are grouped (initial rung draws; then per sweep, per rung:
+        proposal + conditional accept draw; then the swap draws), so
+        grouping changes no value. Under the delta engine all replicas form
+        one group and each rung's proposals across replicas are one grouped
+        forward; rungs within a replica stay sequential, because a rung's
+        accept draw shifts the stream the next rung proposes from. Under
+        the reference engine each replica is its own group (see
+        :class:`StatisticEngine`).
         """
         if sweeps <= 0:
             raise ValueError(f"sweeps must be positive, got {sweeps}")
-        engine = self.engine
-        generators = spawn_generators(rng, chains)
+        engine = self.engine or StatisticEngine(self.statistic)
+        width = len(generators) if engine.lockstep else 1
         n_rungs = len(self.betas)
-        states = [
-            [FaultConfiguration.sample(self.targets, self.fault_model, g) for _ in range(n_rungs)]
-            for g in generators
-        ]
-        sessions = [[engine.session() for _ in range(n_rungs)] for _ in range(chains)]
-        flat_sessions = [session for replica in sessions for session in replica]
-        flat_states = [state for replica in states for state in replica]
-        flat_stats = engine.evaluate_round(flat_sessions, flat_states)
-        for session in flat_sessions:
-            session.commit()
-        stats = [flat_stats[i * n_rungs : (i + 1) * n_rungs] for i in range(chains)]
-        log_priors = [[s.log_prob(self.fault_model) for s in replica] for replica in states]
-
-        colds = [Chain(i) for i in range(chains)]
-        rung_sums = [np.zeros(n_rungs) for _ in range(chains)]
-        attempts = 0
-        accepts = 0
-        for _ in range(sweeps):
-            for rung, beta in enumerate(self.betas):
-                proposals = [
-                    self.proposal.propose(states[i][rung], generators[i]) for i in range(chains)
-                ]
-                cand_stats = engine.evaluate_round(
-                    [sessions[i][rung] for i in range(chains)],
-                    [candidate for candidate, _ in proposals],
-                )
-                for i in range(chains):
-                    candidate, log_hastings = proposals[i]
-                    candidate_stat = cand_stats[i]
-                    candidate_log_prior = candidate.log_prob(self.fault_model)
-                    log_alpha = (
-                        (candidate_log_prior + beta * candidate_stat)
-                        - (log_priors[i][rung] + beta * stats[i][rung])
-                        + log_hastings
+        done = []
+        for first in range(0, len(generators), width):
+            group = generators[first : first + width]
+            states = [
+                [FaultConfiguration.sample(self.targets, self.fault_model, g) for _ in range(n_rungs)]
+                for g in group
+            ]
+            sessions = [[engine.session() for _ in range(n_rungs)] for _ in group]
+            flat_sessions = [session for replica in sessions for session in replica]
+            flat_stats = engine.evaluate_round(flat_sessions, [s for replica in states for s in replica])
+            for session in flat_sessions:
+                session.commit()
+            stats = [flat_stats[i * n_rungs : (i + 1) * n_rungs] for i in range(len(group))]
+            log_priors = [[s.log_prob(self.fault_model) for s in replica] for replica in states]
+            colds = [Chain(first_id + first + i) for i in range(len(group))]
+            rung_sums = [np.zeros(n_rungs) for _ in group]
+            accepts = [0] * len(group)
+            for _ in range(sweeps):
+                for rung, beta in enumerate(self.betas):
+                    proposals = [
+                        self.proposal.propose(replica[rung], g) for replica, g in zip(states, group)
+                    ]
+                    cand_stats = engine.evaluate_round(
+                        [replica[rung] for replica in sessions], [c for c, _ in proposals]
                     )
-                    if log_alpha >= 0 or np.log(generators[i].random()) < log_alpha:
-                        states[i][rung] = candidate
-                        stats[i][rung] = candidate_stat
-                        log_priors[i][rung] = candidate_log_prior
-                        sessions[i][rung].commit()
-            for i in range(chains):
-                low = int(generators[i].integers(0, n_rungs - 1))
-                high = low + 1
-                log_alpha = (self.betas[low] - self.betas[high]) * (stats[i][high] - stats[i][low])
-                attempts += 1
-                if log_alpha >= 0 or np.log(generators[i].random()) < log_alpha:
-                    states[i][low], states[i][high] = states[i][high], states[i][low]
-                    stats[i][low], stats[i][high] = stats[i][high], stats[i][low]
-                    log_priors[i][low], log_priors[i][high] = (
-                        log_priors[i][high],
-                        log_priors[i][low],
-                    )
-                    # Sessions carry the cached activations of their state —
-                    # they swap with it.
-                    sessions[i][low], sessions[i][high] = sessions[i][high], sessions[i][low]
-                    accepts += 1
-                colds[i].record(stats[i][0], states[i][0].total_flips())
-                rung_sums[i] += stats[i]
-        rung_totals = np.zeros(n_rungs)
-        for i in range(chains):
-            rung_totals += rung_sums[i] / sweeps
-        return TemperingResult(
-            cold_chains=ChainSet(colds),
-            rung_means=tuple(float(v) for v in rung_totals / chains),
-            betas=self.betas,
-            swap_acceptance=accepts / attempts if attempts else float("nan"),
-        )
+                    for i, (candidate, log_hastings) in enumerate(proposals):
+                        candidate_stat = cand_stats[i]
+                        candidate_log_prior = candidate.log_prob(self.fault_model)
+                        log_alpha = (
+                            (candidate_log_prior + beta * candidate_stat)
+                            - (log_priors[i][rung] + beta * stats[i][rung])
+                            + log_hastings
+                        )
+                        if log_alpha >= 0 or np.log(group[i].random()) < log_alpha:
+                            states[i][rung] = candidate
+                            stats[i][rung] = candidate_stat
+                            log_priors[i][rung] = candidate_log_prior
+                            sessions[i][rung].commit()
+                # One adjacent-pair swap attempt per sweep and replica.
+                for i, g in enumerate(group):
+                    low = int(g.integers(0, n_rungs - 1))
+                    high = low + 1
+                    log_alpha = (self.betas[low] - self.betas[high]) * (stats[i][high] - stats[i][low])
+                    if log_alpha >= 0 or np.log(g.random()) < log_alpha:
+                        # sessions carry their state's cached activations: they swap with it
+                        for per_rung in (states[i], stats[i], log_priors[i], sessions[i]):
+                            per_rung[low], per_rung[high] = per_rung[high], per_rung[low]
+                        accepts[i] += 1
+                    colds[i].record(stats[i][0], states[i][0].total_flips())
+                    rung_sums[i] += stats[i]
+            done += [(colds[i], rung_sums[i] / sweeps, sweeps, accepts[i]) for i in range(len(group))]
+        return done

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
+from repro.core.delta import DeltaChainEvaluator
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration, FaultSurface, TargetSpec
 from repro.nn import Dense, Module
 
@@ -41,20 +42,20 @@ class TestEquivalence:
             FaultConfiguration.sample(injector.parameter_targets, BernoulliBitFlipModel(0.01), rng)
             for _ in range(25)
         ]
-        batched = evaluator.evaluate(configurations)
+        batched = DeltaChainEvaluator(injector, evaluator).score(configurations)
         sequential = np.asarray([statistic(c) for c in configurations])
         assert np.allclose(batched, sequential, atol=1e-9)
 
     def test_empty_configuration_gives_golden(self, injector, evaluator):
         empty = FaultConfiguration.empty(injector.parameter_targets)
-        errors = evaluator.evaluate([empty])
+        errors = DeltaChainEvaluator(injector, evaluator).score([empty])
         assert errors[0] == pytest.approx(injector.golden_error)
 
     def test_handles_nonfinite_weights(self, injector, evaluator):
         name, param = injector.parameter_targets[0]
         masks = {n: np.zeros(p.shape, dtype=np.uint32) for n, p in injector.parameter_targets}
         masks[name][tuple(0 for _ in param.shape)] = np.uint32(1) << np.uint32(30)
-        errors = evaluator.evaluate([FaultConfiguration(masks)])
+        errors = DeltaChainEvaluator(injector, evaluator).score([FaultConfiguration(masks)])
         assert 0.0 <= errors[0] <= 1.0
 
 
@@ -92,7 +93,7 @@ class TestCampaignFrontEnd:
         with pytest.raises(ValueError):
             injector.forward_campaign(1e-3, samples=0)
         with pytest.raises(ValueError):
-            evaluator.evaluate([])
+            DeltaChainEvaluator(injector, evaluator).score([])
 
 
 class TestScope:

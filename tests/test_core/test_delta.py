@@ -58,7 +58,7 @@ def make_pair(setup, seed):
     model, x, y, spec = setup
     slow = BayesianFaultInjector(model, x, y, spec=spec, seed=seed, fast=False)
     fast = BayesianFaultInjector(model, x, y, spec=spec, seed=seed)
-    assert fast._chain_engine(None) is not None, "delta engine failed to engage"
+    assert fast._chain_engine() is not None, "delta engine failed to engage"
     return slow, fast
 
 
@@ -136,7 +136,7 @@ class TestTemperingSamplerParity:
             return sampler.run(chains=2, sweeps=15, rng=5)
 
         rs = run(None)
-        rf = run(injector._chain_engine(None))
+        rf = run(injector._chain_engine())
         assert rs.rung_means == rf.rung_means
         assert rs.swap_acceptance == rf.swap_acceptance
         assert np.array_equal(rs.cold_chains.matrix(), rf.cold_chains.matrix())
@@ -218,17 +218,12 @@ class TestDeltaObservability:
 
 
 class TestFastKnob:
-    def test_spec_fast_false_disables_engine(self, trained_mlp, moons_eval):
+    def test_fast_false_disables_engine(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=1)
-        assert injector._chain_engine(False) is None
-        assert injector._chain_engine(None) is not None
-
-    def test_spec_fast_true_overrides_injector_fast_false(self, trained_mlp, moons_eval):
-        eval_x, eval_y = moons_eval
-        injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=1, fast=False)
-        with pytest.raises(ValueError, match="fast=True"):
-            injector._chain_engine(True)
+        standard = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=1, fast=False)
+        assert standard._chain_engine() is None
+        assert injector._chain_engine() is not None
 
     def test_fast_true_rejects_undecomposable_model(self, moons_eval):
         class Custom(Module):
@@ -240,9 +235,9 @@ class TestFastKnob:
                 return self.inner(x)
 
         eval_x, eval_y = moons_eval
-        injector = BayesianFaultInjector(Custom().eval(), eval_x, eval_y, seed=1)
+        injector = BayesianFaultInjector(Custom().eval(), eval_x, eval_y, seed=1, fast=True)
         with pytest.raises(ValueError, match="fast=True"):
-            injector.mcmc_campaign(1e-3, chains=1, steps=4, fast=True)
+            injector.mcmc_campaign(1e-3, chains=1, steps=4)
 
     def test_cli_tempered_arm(self):
         from repro.cli import build_parser
@@ -260,7 +255,7 @@ class TestFastKnob:
         spec = _campaign_spec_from_args(args)
         assert spec.kind == "tempered"
         assert spec.beta == 12.0
-        assert spec.fast is False
+        assert not hasattr(spec, "fast")  # --no-fast reaches the injector only
 
 
 class TestStatisticMemoisation:

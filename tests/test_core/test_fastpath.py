@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
+from repro.core.delta import DeltaChainEvaluator
 from repro.faults import (
     BernoulliBitFlipModel,
     FaultConfiguration,
@@ -118,7 +119,7 @@ class TestBatchedBitIdentity:
             assert np.array_equal(param.data.view(np.uint32), golden[name].view(np.uint32))
 
     def test_error_taxonomy_matches_guard(self, lenet_injector, rng):
-        """evaluate() applies the hazard-aware scoring of the sequential path."""
+        """score() applies the hazard-aware scoring of the sequential path."""
         statistic = lenet_injector.make_statistic(None, rng)
         evaluator = BatchedNetworkEvaluator(lenet_injector)
         configurations = [
@@ -127,7 +128,7 @@ class TestBatchedBitIdentity:
             )
             for _ in range(6)
         ]
-        batched = evaluator.evaluate(configurations)
+        batched = DeltaChainEvaluator(lenet_injector, evaluator).score(configurations)
         sequential = np.asarray([statistic(c) for c in configurations])
         assert np.array_equal(batched, sequential)
 

@@ -184,7 +184,7 @@ class TestChainEdgeCases:
         slow = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8, fast=False)
         fast = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8)
         assert fast._prefix_forward() is None  # zero-reuse regime
-        engine = fast._chain_engine(None)
+        engine = fast._chain_engine()
         assert engine is not None
         # The static cut sits right at the first faultable segment (only the
         # synthetic flatten precedes it): no parameterized prefix to reuse.

@@ -25,6 +25,7 @@ from repro.exec import (
 from repro.exec import chaos as chaos_mod
 from repro.faults import TargetSpec
 from repro.nn import paper_mlp
+from repro.nn.models import resnet18_cifar_small
 from repro.obs import MemorySink
 
 SPECS = [ForwardSpec(p=p, samples=8, chains=2) for p in np.logspace(-4, -1, 6)]
@@ -183,3 +184,65 @@ class TestWarmWorkerChaos:
         with pytest.raises(CampaignExecutionError, match="timed out"):
             executor.run(SPECS)
         assert multiprocessing.active_children() == []
+
+
+class TestLayerwiseRetarget:
+    """A layerwise run's per-layer recipes share one checkpoint, so a warm
+    worker retargets its injector instead of building one per layer."""
+
+    @pytest.fixture()
+    def golden_forwards(self, monkeypatch):
+        from repro.core.prefix import GoldenForward
+
+        calls = {"n": 0}
+        original = GoldenForward.__init__
+
+        def counted(self, *args, **kwargs):
+            calls["n"] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GoldenForward, "__init__", counted)
+        return calls
+
+    def run(self, tiny_resnet, tiny_images, path, executor=None):
+        from repro.core import LayerwiseCampaign
+        from repro.exec import CampaignJournal
+
+        x, y = tiny_images
+        with CampaignJournal(path) as journal:
+            campaign = LayerwiseCampaign(
+                tiny_resnet, x, y, p=1e-3, samples=2, chains=1, seed=3,
+                executor=executor, journal=journal,
+                model_builder=functools.partial(resnet18_cifar_small, num_classes=10, rng=0),
+            ).run()
+            keys = journal.keys()
+        return campaign, keys
+
+    def test_one_golden_forward_per_worker(self, tiny_resnet, tiny_images, golden_forwards, tmp_path):
+        in_process, keys = self.run(tiny_resnet, tiny_images, str(tmp_path / "a.jsonl"))
+        assert golden_forwards["n"] == 1
+        layers = len(in_process.layers)
+        assert layers > 1
+        golden_forwards["n"] = 0
+        executor = ParallelCampaignExecutor(workers=1)
+        pooled, pooled_keys = self.run(
+            tiny_resnet, tiny_images, str(tmp_path / "b.jsonl"), executor=executor
+        )
+        assert golden_forwards["n"] == 1
+        assert executor.stats.injector_builds == 1
+        assert pooled_keys == keys and len(keys) == layers
+        for a, b in zip(in_process.results, pooled.results):
+            assert a.layer == b.layer
+            assert np.array_equal(a.campaign.chains.matrix(), b.campaign.chains.matrix())
+            assert a.campaign.mean_error == b.campaign.mean_error
+
+    def test_each_worker_builds_once(self, tiny_resnet, tiny_images, tmp_path):
+        in_process, keys = self.run(tiny_resnet, tiny_images, str(tmp_path / "a.jsonl"))
+        executor = ParallelCampaignExecutor(workers=2, start_method="fork")
+        pooled, pooled_keys = self.run(
+            tiny_resnet, tiny_images, str(tmp_path / "b.jsonl"), executor=executor
+        )
+        assert executor.stats.injector_builds == 2
+        assert sorted(pooled_keys) == sorted(keys)
+        for a, b in zip(in_process.results, pooled.results):
+            assert np.array_equal(a.campaign.chains.matrix(), b.campaign.chains.matrix())
