@@ -100,6 +100,16 @@ def measure(fn: Callable[[], object], *, warmup: int = 1, repeats: int = 5) -> C
     return CaseStats.from_samples(samples, warmup=warmup)
 
 
+#: BLAS/OpenMP thread-pool variables; baselines are recorded with each set to 1
+THREAD_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
 def _environment() -> dict:
     import numpy
 
@@ -108,6 +118,7 @@ def _environment() -> dict:
         "numpy": numpy.__version__,
         "platform": sys.platform,
         "cpu_count": os.cpu_count(),
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
 
 

@@ -26,7 +26,8 @@ plus their warmup/repeat protocol. Group names match the historical
 
 Every suite has a *quick* tier (smaller grids/budgets, same case names) so
 CI gates on the same baselines a developer regenerates locally with
-``python -m repro bench --quick``.
+``python -m repro bench --quick``, with the BLAS thread variables of
+:data:`repro.bench.harness.THREAD_VARIABLES` set to 1 (EXPERIMENTS A9).
 """
 
 from __future__ import annotations

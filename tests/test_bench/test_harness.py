@@ -45,6 +45,16 @@ class TestRecordSchema:
         assert record["cases"]["case_a"]["repeats"] == 3
         assert "python" in record["environment"]
 
+    def test_record_states_blas_thread_settings(self, monkeypatch):
+        from repro.bench.harness import THREAD_VARIABLES
+
+        for name in THREAD_VARIABLES:
+            monkeypatch.setenv(name, "1")
+        monkeypatch.delenv("MKL_NUM_THREADS")
+        record = make_record("g", {"c": self._stats()}, quick=True, seed=0)
+        expected = {name: "1" for name in THREAD_VARIABLES} | {"MKL_NUM_THREADS": None}
+        assert record["environment"]["threads"] == expected
+
     def test_record_is_json_serialisable(self):
         import json
 
